@@ -162,6 +162,26 @@ let open_live_corpus ?read_only dir =
 
 let open_shards dir = live_guard dir (fun () -> Shard_set.load_dir dir)
 
+(* A shard directory and a live store both answer with segment-query
+   hits, so [search] and [snippet] print them alike: a shard hit names
+   its shard and global node, a live hit its member document. Returns
+   the shard count ([None] for a live store) and the query to run. *)
+let open_segment_dir file =
+  if Shard_set.is_shard_dir file then
+    let t = open_shards file in
+    Some
+      ( Some (Shard_set.shard_count t),
+        fun ~semantics ~bound ~limit q -> Shard_set.run ~semantics ~bound ?limit t q )
+  else if Sys.is_directory file then
+    let lc = open_live_corpus ~read_only:true file in
+    Some
+      ( None,
+        fun ~semantics ~bound ~limit q ->
+          Fun.protect
+            ~finally:(fun () -> Live_corpus.close lc)
+            (fun () -> Live_corpus.run ~semantics ~bound ?limit lc q) )
+  else None
+
 let read_whole_file path =
   let ic = open_in_bin path in
   let data = really_input_string ic (in_channel_length ic) in
@@ -254,72 +274,58 @@ let search_cmd =
          & info [ "relax" ] ~doc:"Drop the rarest keywords until the query has results.")
   in
   let run file query semantics limit ranked relax =
-    if Shard_set.is_shard_dir file then begin
-      (* a shard directory: fan out, one domain per shard, k-way merge *)
+    match open_segment_dir file with
+    | Some (shards, run) ->
       ignore ranked;
-      if relax then prerr_endline "note: --relax is not supported for shard directories";
-      let t = open_shards file in
-      let hits = Shard_set.run ~semantics ?limit t query in
-      Printf.printf "%d hit(s) across %d shard(s)\n" (List.length hits)
-        (Shard_set.shard_count t);
+      if relax then Printf.eprintf "note: --relax is not supported for %s directories\n"
+          (if Option.is_none shards then "live-store" else "shard");
+      let hits = run ~semantics ~bound:Pipeline.default_bound ~limit query in
+      (match shards with
+      | Some k -> Printf.printf "%d hit(s) across %d shard(s)\n" (List.length hits) k
+      | None -> Printf.printf "%d hit(s)\n" (List.length hits));
       List.iteri
-        (fun i (h : Shard_set.hit) ->
-          let r = h.Shard_set.result.Pipeline.result in
-          let doc = Result_tree.document r in
-          Printf.printf "%2d. [shard %d] <%s> global node %d (%d nodes)  score=%.3f\n" (i + 1)
-            h.Shard_set.shard
-            (Document.tag_name doc (Result_tree.root r))
-            h.Shard_set.global_root (Result_tree.size r) h.Shard_set.score)
+        (fun i (h : Extract_snippet.Corpus.hit) ->
+          let r = h.result.Pipeline.result in
+          let where, node =
+            match shards with
+            | Some _ ->
+              Printf.sprintf "shard %d" h.segment, Printf.sprintf "global node %d " h.global_root
+            | None -> h.source, ""
+          in
+          Printf.printf "%2d. [%s] <%s> %s(%d nodes)  score=%.3f\n" (i + 1) where
+            (Document.tag_name (Result_tree.document r) (Result_tree.root r))
+            node (Result_tree.size r) h.score)
         hits
-    end
-    else if Sys.is_directory file then begin
-      (* a directory is a live store: hits are already scored per member *)
-      ignore ranked;
-      if relax then prerr_endline "note: --relax is not supported for live-store directories";
-      let lc = open_live_corpus ~read_only:true file in
-      let hits = Live_corpus.run ~semantics ?limit lc query in
-      Printf.printf "%d hit(s)\n" (List.length hits);
+    | None ->
+      let db = load_db file in
+      let results, dropped =
+        if relax then
+          Extract_search.Engine.run_relaxed ~semantics (Pipeline.index db) (Pipeline.kinds db)
+            (Extract_search.Query.of_string query)
+        else Pipeline.search ~semantics db query, []
+      in
+      if dropped <> [] then
+        Printf.printf "(relaxed: dropped %s)\n" (String.concat ", " dropped);
+      let scored =
+        if ranked then
+          let ranker = Extract_search.Ranker.make (Pipeline.index db) in
+          Extract_search.Ranker.rank ranker (Extract_search.Query.of_string query) results
+        else List.map (fun r -> r, nan) results
+      in
+      let scored =
+        match limit with
+        | None -> scored
+        | Some k -> List.filteri (fun i _ -> i < k) scored
+      in
+      Printf.printf "%d result(s)\n" (List.length results);
       List.iteri
-        (fun i (h : Live_corpus.hit) ->
-          let r = h.Live_corpus.snippet.Pipeline.result in
+        (fun i (r, score) ->
           let doc = Result_tree.document r in
-          Printf.printf "%2d. [%s] <%s> (%d nodes)  score=%.3f\n" (i + 1) h.Live_corpus.source
+          let score_str = if Float.is_nan score then "" else Printf.sprintf "  score=%.3f" score in
+          Printf.printf "%2d. <%s> (%d nodes)%s\n" (i + 1)
             (Document.tag_name doc (Result_tree.root r))
-            (Result_tree.size r) h.Live_corpus.score)
-        hits;
-      Live_corpus.close lc
-    end
-    else begin
-    let db = load_db file in
-    let results, dropped =
-      if relax then
-        Extract_search.Engine.run_relaxed ~semantics (Pipeline.index db) (Pipeline.kinds db)
-          (Extract_search.Query.of_string query)
-      else Pipeline.search ~semantics db query, []
-    in
-    if dropped <> [] then
-      Printf.printf "(relaxed: dropped %s)\n" (String.concat ", " dropped);
-    let scored =
-      if ranked then
-        let ranker = Extract_search.Ranker.make (Pipeline.index db) in
-        Extract_search.Ranker.rank ranker (Extract_search.Query.of_string query) results
-      else List.map (fun r -> r, nan) results
-    in
-    let scored =
-      match limit with
-      | None -> scored
-      | Some k -> List.filteri (fun i _ -> i < k) scored
-    in
-    Printf.printf "%d result(s)\n" (List.length results);
-    List.iteri
-      (fun i (r, score) ->
-        let doc = Result_tree.document r in
-        let score_str = if Float.is_nan score then "" else Printf.sprintf "  score=%.3f" score in
-        Printf.printf "%2d. <%s> (%d nodes)%s\n" (i + 1)
-          (Document.tag_name doc (Result_tree.root r))
-          (Result_tree.size r) score_str)
-      scored
-    end
+            (Result_tree.size r) score_str)
+        scored
   in
   Cmd.v
     (Cmd.info "search" ~doc:"Run a keyword query, list result roots.")
@@ -405,21 +411,26 @@ let snippet_cmd =
         Trace.set_enabled false
       end
     in
-    if Shard_set.is_shard_dir file then begin
-      (* a shard directory: per-shard snippets, globally merged *)
+    match open_segment_dir file with
+    | Some (shards, run) ->
+      (* the flags tied to single-database explain plumbing do not apply
+         to a shard directory or a live store *)
       ignore (compare_baselines, differentiate, order, explain);
-      let t = open_shards file in
       let hits =
         Extract_obs.Reqid.ensure (fun _rid ->
-            Trace.with_span "cli.run" (fun () ->
-                Shard_set.run ~semantics ~bound ?limit t query))
+            Trace.with_span "cli.run" (fun () -> run ~semantics ~bound ~limit query))
       in
       Printf.printf "%d hit(s) for %S, bound %d edges\n\n" (List.length hits) query bound;
       List.iteri
-        (fun i (h : Shard_set.hit) ->
-          let s = h.Shard_set.result in
-          Printf.printf "--- hit %d [shard %d, global node %d] score=%.3f ------------\n"
-            (i + 1) h.Shard_set.shard h.Shard_set.global_root h.Shard_set.score;
+        (fun i (h : Extract_snippet.Corpus.hit) ->
+          let s = h.result in
+          (match shards with
+          | Some _ ->
+            Printf.printf "--- hit %d [shard %d, global node %d] score=%.3f ------------\n"
+              (i + 1) h.segment h.global_root h.score
+          | None ->
+            Printf.printf "--- hit %d [%s] score=%.3f --------------------------\n" (i + 1)
+              h.source h.score);
           print_endline (Snippet_tree.render s.Pipeline.selection.Selector.snippet);
           Printf.printf "(%d/%d IList items, %d edges)\n\n"
             (Selector.covered_count s.Pipeline.selection)
@@ -427,85 +438,58 @@ let snippet_cmd =
             (Snippet_tree.edge_count s.Pipeline.selection.Selector.snippet))
         hits;
       emit_trace ()
-    end
-    else if Sys.is_directory file then begin
-      (* a directory is a live store; the flags tied to single-database
-         explain plumbing do not apply there *)
-      ignore (compare_baselines, differentiate, order, explain);
-      let lc = open_live_corpus ~read_only:true file in
-      let hits =
-        Extract_obs.Reqid.ensure (fun _rid ->
-            Trace.with_span "cli.run" (fun () ->
-                Live_corpus.run ~semantics ~bound ?limit lc query))
+    | None ->
+      let db = Trace.with_span "cli.load" (fun () -> load_db file) in
+      let config = { Extract_snippet.Config.default with Extract_snippet.Config.feature_order = order } in
+      let print_results results =
+        Printf.printf "%d result(s) for %S, bound %d edges\n\n" (List.length results) query
+          bound;
+        let q = Extract_search.Query.of_string query in
+        List.iteri
+          (fun i (r : Pipeline.snippet_result) ->
+            Printf.printf "--- result %d -------------------------------------\n" (i + 1);
+            print_endline (Snippet_tree.render r.selection.snippet);
+            Printf.printf "(%d/%d IList items, %d edges)\n\n"
+              (Selector.covered_count r.selection)
+              (Ilist.length r.ilist)
+              (Snippet_tree.edge_count r.selection.snippet);
+            if compare_baselines then begin
+              let text =
+                Extract_snippet.Text_baseline.generate
+                  ~window_tokens:(Extract_snippet.Text_baseline.window_for_bound bound)
+                  r.result q
+              in
+              Printf.printf "text baseline:  %s\n" (Extract_snippet.Text_baseline.to_string text);
+              let naive = Extract_snippet.Naive_baseline.generate ~bound r.result in
+              Printf.printf "naive baseline:\n%s\n\n" (Snippet_tree.render naive)
+            end)
+          results
       in
-      Printf.printf "%d hit(s) for %S, bound %d edges\n\n" (List.length hits) query bound;
-      List.iteri
-        (fun i (h : Live_corpus.hit) ->
-          let s = h.Live_corpus.snippet in
-          Printf.printf "--- hit %d [%s] score=%.3f --------------------------\n" (i + 1)
-            h.Live_corpus.source h.Live_corpus.score;
-          print_endline (Snippet_tree.render s.Pipeline.selection.Selector.snippet);
-          Printf.printf "(%d/%d IList items, %d edges)\n\n"
-            (Selector.covered_count s.Pipeline.selection)
-            (Ilist.length s.Pipeline.ilist)
-            (Snippet_tree.edge_count s.Pipeline.selection.Selector.snippet))
-        hits;
-      Live_corpus.close lc;
-      emit_trace ()
-    end
-    else begin
-    let db = Trace.with_span "cli.load" (fun () -> load_db file) in
-    let config = { Extract_snippet.Config.default with Extract_snippet.Config.feature_order = order } in
-    let print_results results =
-      Printf.printf "%d result(s) for %S, bound %d edges\n\n" (List.length results) query
-        bound;
-      let q = Extract_search.Query.of_string query in
-      List.iteri
-        (fun i (r : Pipeline.snippet_result) ->
-          Printf.printf "--- result %d -------------------------------------\n" (i + 1);
-          print_endline (Snippet_tree.render r.selection.snippet);
-          Printf.printf "(%d/%d IList items, %d edges)\n\n"
-            (Selector.covered_count r.selection)
-            (Ilist.length r.ilist)
-            (Snippet_tree.edge_count r.selection.snippet);
-          if compare_baselines then begin
-            let text =
-              Extract_snippet.Text_baseline.generate
-                ~window_tokens:(Extract_snippet.Text_baseline.window_for_bound bound)
-                r.result q
+      (* one CLI invocation = one query: give it a request id here so the
+         cli.run span, the pipeline's log lines and the explain bundle all
+         carry the same id *)
+      Extract_obs.Reqid.ensure (fun _rid ->
+          match explain with
+          | None ->
+            print_results
+              (Trace.with_span "cli.run" (fun () ->
+                   if differentiate then
+                     Pipeline.run_differentiated ~semantics ~config ~bound ?limit db query
+                   else Pipeline.run ~semantics ~config ~bound ?limit db query))
+          | Some fmt ->
+            let results, bundle =
+              Trace.with_span "cli.run" (fun () ->
+                  Explain.run ~semantics ~config ~bound ?limit
+                    ~differentiated:differentiate db query)
             in
-            Printf.printf "text baseline:  %s\n" (Extract_snippet.Text_baseline.to_string text);
-            let naive = Extract_snippet.Naive_baseline.generate ~bound r.result in
-            Printf.printf "naive baseline:\n%s\n\n" (Snippet_tree.render naive)
-          end)
-        results
-    in
-    (* one CLI invocation = one query: give it a request id here so the
-       cli.run span, the pipeline's log lines and the explain bundle all
-       carry the same id *)
-    Extract_obs.Reqid.ensure (fun _rid ->
-        match explain with
-        | None ->
-          print_results
-            (Trace.with_span "cli.run" (fun () ->
-                 if differentiate then
-                   Pipeline.run_differentiated ~semantics ~config ~bound ?limit db query
-                 else Pipeline.run ~semantics ~config ~bound ?limit db query))
-        | Some fmt ->
-          let results, bundle =
-            Trace.with_span "cli.run" (fun () ->
-                Explain.run ~semantics ~config ~bound ?limit
-                  ~differentiated:differentiate db query)
-          in
-          (match fmt with
-          | `Json ->
-            (* the bundle alone: stdout stays machine-readable *)
-            print_endline (Explain.render_json bundle)
-          | `Text ->
-            print_results results;
-            print_string (Explain.to_text bundle)));
-    emit_trace ()
-    end
+            (match fmt with
+            | `Json ->
+              (* the bundle alone: stdout stays machine-readable *)
+              print_endline (Explain.render_json bundle)
+            | `Text ->
+              print_results results;
+              print_string (Explain.to_text bundle)));
+      emit_trace ()
   in
   Cmd.v
     (Cmd.info "snippet" ~doc:"Generate snippets for a keyword query (the demo flow).")

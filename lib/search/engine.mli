@@ -52,8 +52,8 @@ val merge_scored : ?limit:int -> (float * 'a) list array -> (float * (int * 'a))
 (** K-way merge of per-source scored lists (each sorted best-first) into
     one globally ranked list, tagging every item with its source index.
     Ties break toward the lower source index; order within a source is
-    preserved. [limit] keeps the best [limit] overall. The cross-shard
-    merge step of {!Extract_snippet.Shard_set}. *)
+    preserved. [limit] keeps the best [limit] overall. (Multi-database
+    queries rank through {!Extract_snippet.Corpus.query} instead.) *)
 
 val run_relaxed :
   ?semantics:semantics ->

@@ -295,16 +295,21 @@ let bound_param params =
   | Some b when b >= 0 -> b
   | Some _ | None -> Pipeline.default_bound
 
+(* Every search route: a non-empty ?q=, and the shed check before any
+   search work starts. *)
+let with_query ~deadline params f =
+  match List.assoc_opt "q" params with
+  | None | Some "" -> error 400 "Bad Request" "missing ?q= parameter"
+  | Some q ->
+    if Deadline.expired deadline then begin
+      Registry.incr shed_total;
+      overloaded "per-request budget exhausted before search started"
+    end
+    else f q
+
 let search_page t ~deadline target params =
   with_db t params (fun name db ->
-      match List.assoc_opt "q" params with
-      | None | Some "" -> error 400 "Bad Request" "missing ?q= parameter"
-      | Some q ->
-        if Deadline.expired deadline then begin
-          Registry.incr shed_total;
-          overloaded "per-request budget exhausted before search started"
-        end
-        else begin
+      with_query ~deadline params (fun q ->
           let bound = bound_param params in
           (* two cache levels: rendered pages by raw target, and
              search+snippet results by normalized query — a page miss with
@@ -332,8 +337,7 @@ let search_page t ~deadline target params =
                 ~query:q ~bound results
             in
             if degraded = 0 then Sharded_lru.put t.pages target body;
-            ok body
-        end)
+            ok body))
 
 (* The explain endpoint runs the same cached pipeline as /search but
    assembles the bundle around it; explain pages are never page-cached —
@@ -341,14 +345,7 @@ let search_page t ~deadline target params =
    precisely what must stay live. *)
 let explain_page t ~deadline params =
   with_db t params (fun _name db ->
-      match List.assoc_opt "q" params with
-      | None | Some "" -> error 400 "Bad Request" "missing ?q= parameter"
-      | Some q ->
-        if Deadline.expired deadline then begin
-          Registry.incr shed_total;
-          overloaded "per-request budget exhausted before search started"
-        end
-        else begin
+      with_query ~deadline params (fun q ->
           let bound = bound_param params in
           let _, bundle =
             slowlogged_bundle ~query:q (fun () ->
@@ -360,8 +357,7 @@ let explain_page t ~deadline params =
             ok ~content_type:"application/json; charset=utf-8"
               (Explain.render_json bundle ^ "\n")
           | Some other ->
-            error 400 "Bad Request" (Printf.sprintf "unknown format %S" other)
-        end)
+            error 400 "Bad Request" (Printf.sprintf "unknown format %S" other)))
 
 let slowlog_page () =
   ok ~content_type:"application/json; charset=utf-8" (Slowlog.render_json () ^ "\n")
@@ -569,41 +565,11 @@ let live_status t =
            (List.length names)
            (String.concat "" (List.map (fun n -> Printf.sprintf "%s\n" n) names))))
 
-let live_search_page t ~deadline params =
-  with_live t (fun live ->
-      match List.assoc_opt "q" params with
-      | None | Some "" -> error 400 "Bad Request" "missing ?q= parameter"
-      | Some q ->
-        if Deadline.expired deadline then begin
-          Registry.incr shed_total;
-          overloaded "per-request budget exhausted before search started"
-        end
-        else begin
-          let bound = bound_param params in
-          let limit =
-            match Option.bind (List.assoc_opt "limit" params) int_of_string_opt with
-            | Some n when n > 0 -> n
-            | Some _ | None -> 25
-          in
-          let hits =
-            slowlogged ~query:q (fun () ->
-                List.map
-                  (fun (h : Live_corpus.hit) -> h.Live_corpus.snippet)
-                  (Live_corpus.run ~bound ~limit ~deadline live q))
-          in
-          let results =
-            Html_view.result_page
-              ~title:(Printf.sprintf "eXtract — live (generation %d)"
-                        (Live_corpus.generation live))
-              ~query:q ~bound hits
-          in
-          ok results
-        end)
-
 (* ------------------------------------------------------------------ *)
 (* Sharded serving: the /shards routes mirror /live, backed by a
-   Shard_set — one domain per shard under each request, answers k-way
-   merged. The shard set is read-only; no admin routes. *)
+   Shard_set — one domain per shard under each request searches and
+   ranks, then only the global winners are snippeted. The shard set is
+   read-only; no admin routes. *)
 
 let with_sharded t f =
   match t.sharded with
@@ -624,36 +590,22 @@ let shards_status t =
       done;
       text_ok (Buffer.contents buf))
 
-let shards_search_page t ~deadline params =
-  with_sharded t (fun s ->
-      match List.assoc_opt "q" params with
-      | None | Some "" -> error 400 "Bad Request" "missing ?q= parameter"
-      | Some q ->
-        if Deadline.expired deadline then begin
-          Registry.incr shed_total;
-          overloaded "per-request budget exhausted before search started"
-        end
-        else begin
-          let bound = bound_param params in
-          let limit =
-            match Option.bind (List.assoc_opt "limit" params) int_of_string_opt with
-            | Some n when n > 0 -> n
-            | Some _ | None -> 25
-          in
-          let hits =
-            slowlogged ~query:q (fun () ->
-                List.map
-                  (fun (h : Shard_set.hit) -> h.Shard_set.result)
-                  (Shard_set.run ~bound ~limit ~deadline s q))
-          in
-          let results =
-            Html_view.result_page
-              ~title:(Printf.sprintf "eXtract — sharded (%d shards)"
-                        (Shard_set.shard_count s))
-              ~query:q ~bound hits
-          in
-          ok results
-        end)
+(* /live/search and /shards/search: one segment query ([run]), rendered
+   as one result page. [title] is read after the query, so a live page
+   names the generation it was answered from. *)
+let segment_search_page ~title ~run ~deadline params =
+  with_query ~deadline params (fun q ->
+      let bound = bound_param params in
+      let limit =
+        match Option.bind (List.assoc_opt "limit" params) int_of_string_opt with
+        | Some n when n > 0 -> n
+        | Some _ | None -> 25
+      in
+      let hits =
+        slowlogged ~query:q (fun () ->
+            List.map (fun (h : Corpus.hit) -> h.Corpus.result) (run ~bound ~limit ~deadline q))
+      in
+      ok (Html_view.result_page ~title:(title ()) ~query:q ~bound hits))
 
 (* ------------------------------------------------------------------ *)
 (* Health surface: /healthz answers 200 whenever the process routes
@@ -765,9 +717,22 @@ let handle_request ?(deadline = Deadline.never) ?(meth = Get) ?(body = "")
             | "/stats", Get -> stats_page t params
             | "/metrics", Get -> metrics_page t
             | "/live", Get -> live_status t
-            | "/live/search", Get -> live_search_page t ~deadline params
+            | "/live/search", Get ->
+              with_live t (fun live ->
+                  segment_search_page ~deadline params
+                    ~title:(fun () ->
+                      Printf.sprintf "eXtract — live (generation %d)"
+                        (Live_corpus.generation live))
+                    ~run:(fun ~bound ~limit ~deadline q ->
+                      Live_corpus.run ~bound ~limit ~deadline live q))
             | "/shards", Get -> shards_status t
-            | "/shards/search", Get -> shards_search_page t ~deadline params
+            | "/shards/search", Get ->
+              with_sharded t (fun sh ->
+                  segment_search_page ~deadline params
+                    ~title:(fun () ->
+                      Printf.sprintf "eXtract — sharded (%d shards)" (Shard_set.shard_count sh))
+                    ~run:(fun ~bound ~limit ~deadline q ->
+                      Shard_set.run ~bound ~limit ~deadline sh q))
             | "/healthz", Get -> health_page ()
             | "/readyz", Get -> ready_page t
             | "/debug/slowlog", Get -> slowlog_page ()

@@ -1,14 +1,8 @@
-module Engine = Extract_search.Engine
-module Query = Extract_search.Query
+module Eval_ctx = Extract_search.Eval_ctx
 module Ranker = Extract_search.Ranker
+module Result_tree = Extract_search.Result_tree
 
 type t = { dbs : (string * Pipeline.t) list (* sorted by name *) }
-
-type hit = {
-  source : string;
-  score : float;
-  snippet : Pipeline.snippet_result;
-}
 
 let empty = { dbs = [] }
 
@@ -74,24 +68,88 @@ let load_file ?(on_warning = fun _ -> ()) path =
     | exception (Extract_store.Codec.Truncated reason as e) ->
       rebuild_or_reraise ("truncated: " ^ reason) e)
 
+(* ------------------------------------------------------------------ *)
+(* The segment query: rank every answer of every segment, then snippet
+   only the global top [limit] *)
+
+type segment = {
+  db : Pipeline.t;
+  mask : (int * int) array option;
+  source : Result_tree.t -> string option;
+  to_global : int -> int;
+}
+
+type hit = {
+  source : string;
+  segment : int;
+  score : float;
+  global_root : int;
+  result : Pipeline.snippet_result;
+}
+
+(* a phase-1 answer, not yet snippeted *)
+type candidate = {
+  label : string;
+  seg : int;
+  relevance : float;
+  tree : Result_tree.t;
+  ctx : Eval_ctx.t;
+}
+
+let sequentially n f = List.iter f (List.init n Fun.id)
+
+let query ?semantics ?config ?bound ?limit ?deadline ?(fan_out = sequentially) segments
+    query_string =
+  Pipeline.scoped query_string ~snippets:(List.map (fun h -> h.result)) @@ fun () ->
+  let segments = Array.of_list segments in
+  (* phase 1; slot i is written only by [f i], on whichever domain
+     [fan_out] runs it, and read after [fan_out] returns *)
+  let ranked = Array.make (Array.length segments) [] in
+  fan_out (Array.length segments) (fun i ->
+      let { db; mask; source; _ } = segments.(i) in
+      let ctx, results = Pipeline.search_ctx ?semantics ?mask db query_string in
+      let ranker = Ranker.make (Pipeline.index db) in
+      ranked.(i) <-
+        List.filter_map
+          (fun tree ->
+            Option.map
+              (fun label ->
+                let relevance = Ranker.score ranker (Eval_ctx.query ctx) tree in
+                { label; seg = i; relevance; tree; ctx })
+              (source tree))
+          results);
+  (* one global order: score, then source label; the stable sort keeps
+     segment order, then document order, among the rest *)
+  let winners =
+    List.concat (Array.to_list ranked)
+    |> List.stable_sort (fun a b ->
+           match Float.compare b.relevance a.relevance with
+           | 0 -> String.compare a.label b.label
+           | c -> c)
+    |> List.filteri (fun rank _ -> match limit with None -> true | Some k -> rank < k)
+    |> List.mapi (fun rank c -> rank, c)
+  in
+  (* phase 2: each segment snippets its own winners under its own
+     context, then the hits go back into rank order *)
+  List.init (Array.length segments) (fun i ->
+      match List.filter (fun (_, c) -> c.seg = i) winners with
+      | [] -> []
+      | (_, first) :: _ as mine ->
+        List.map2
+          (fun (rank, c) result ->
+            let global_root = segments.(i).to_global (Result_tree.root c.tree) in
+            rank, { source = c.label; segment = i; score = c.relevance; global_root; result })
+          mine
+          (Pipeline.snippets ?config ?bound ?deadline segments.(i).db first.ctx
+             (List.map (fun (_, c) -> c.tree) mine)))
+  |> List.concat
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
+
 let run ?semantics ?config ?bound ?limit ?deadline t query_string =
-  let hits =
-    List.concat_map
-      (fun (source, db) ->
-        let ranker = Ranker.make (Pipeline.index db) in
-        let query = Query.of_string query_string in
-        Pipeline.run ?semantics ?config ?bound ?deadline db query_string
-        |> List.map (fun (s : Pipeline.snippet_result) ->
-               { source; score = Ranker.score ranker query s.Pipeline.result; snippet = s }))
-      t.dbs
-  in
-  let sorted =
-    List.stable_sort
-      (fun a b ->
-        if a.score <> b.score then Float.compare b.score a.score
-        else String.compare a.source b.source)
-      hits
-  in
-  match limit with
-  | None -> sorted
-  | Some k -> List.filteri (fun i _ -> i < k) sorted
+  query ?semantics ?config ?bound ?limit ?deadline
+    (List.map
+       (fun (name, db) ->
+         { db; mask = None; source = (fun _ -> Some name); to_global = Fun.id })
+       t.dbs)
+    query_string

@@ -5,15 +5,47 @@
     under names and runs one query across all of them, merging the hits.
     Cross-document ranking uses each database's own XRank-style scores —
     IDF statistics are per-document, which matches how federated keyword
-    search is usually approximated. *)
+    search is usually approximated. The named corpus, the live overlay
+    ({!Live_corpus}) and a shard set ({!Shard_set}) all query through
+    {!query}, each over its own list of {!segment}s. *)
 
 type t
 
-type hit = {
-  source : string;  (** name of the database the hit comes from *)
-  score : float;
-  snippet : Pipeline.snippet_result;
+type segment = {
+  db : Pipeline.t;
+  mask : (int * int) array option;  (** see {!Extract_search.Eval_ctx.make} *)
+  source : Extract_search.Result_tree.t -> string option;
+      (** a result's label, or [None] to drop it as no answer *)
+  to_global : int -> int;  (** result root to {!hit.global_root} *)
 }
+
+type hit = {
+  source : string;
+  segment : int;  (** index into the list given to {!query} *)
+  score : float;
+  global_root : int;
+  result : Pipeline.snippet_result;
+}
+
+val query :
+  ?semantics:Extract_search.Engine.semantics ->
+  ?config:Config.t ->
+  ?bound:int ->
+  ?limit:int ->
+  ?deadline:Extract_util.Deadline.t ->
+  ?fan_out:(int -> (int -> unit) -> unit) ->
+  segment list ->
+  string ->
+  hit list
+(** Rank globally, then snippet only the winners, under one request id.
+    Phase 1 searches each segment, drops the results [source] rejects
+    and scores the rest with the segment's own ranker; [fan_out n f]
+    calls [f i] once per segment [i < n], on any domain (default: in
+    order, on the caller's). All answers take one order: decreasing
+    score, then label, then segment, then document order. Phase 2
+    snippets only the first [limit] ({!Pipeline.snippets}, under each
+    segment's phase-1 context), so the deadline ladder and the stage
+    observer apply as in {!Pipeline.run}. *)
 
 val empty : t
 
@@ -51,8 +83,6 @@ val run :
   t ->
   string ->
   hit list
-(** Search every database, snippet every result, merge and sort by
-    decreasing score (ties: source name, then document order). [limit]
-    caps the {e merged} list. [deadline] is shared across the member
-    databases: once it expires, remaining snippets degrade
-    ({!Pipeline.run}). *)
+(** {!query} over one segment per database, labelled with its name, in
+    name order. [deadline] is shared across the databases: once it
+    expires, remaining snippets degrade ({!Pipeline.run}). *)

@@ -1,13 +1,13 @@
 module Live = Extract_store.Live
 module Document = Extract_store.Document
-module Query = Extract_search.Query
-module Ranker = Extract_search.Ranker
 module Result_tree = Extract_search.Result_tree
 
-type hit = {
+type hit = Corpus.hit = {
   source : string;
+  segment : int;
   score : float;
-  snippet : Pipeline.snippet_result;
+  global_root : int;
+  result : Pipeline.snippet_result;
 }
 
 (* The query-side mirror of a {!Live.view}: the same arenas wrapped as
@@ -120,52 +120,27 @@ let compact t =
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 
-(* Which member subtree a base-arena result root falls in. The synthetic
-   corpus root (node 0) is no member's node: an SLCA that lands there
-   spans several documents and is dropped — members are independent
-   documents that happen to share an arena. *)
-let member_of q root =
-  List.find_opt
-    (fun (_, member_root) ->
-      member_root <= root && root <= Document.subtree_last q.doc member_root)
-    q.members
+(* The masked base, then every delta. A base result is labelled with the
+   member subtree its root falls in; the synthetic corpus root (node 0)
+   is no member's node, so an LCA that lands there spans several
+   documents and is dropped — members are independent documents that
+   happen to share an arena. *)
+let segments q =
+  let member_of tree =
+    let root = Result_tree.root tree in
+    List.find_opt (fun (_, m) -> m <= root && root <= Document.subtree_last q.doc m) q.members
+    |> Option.map fst
+  in
+  let base =
+    { Corpus.db = q.base; mask = Some q.mask; source = member_of; to_global = Fun.id }
+  in
+  (if Array.length q.mask = 0 then [] else [ base ])
+  @ List.map
+      (fun (name, db) ->
+        { Corpus.db; mask = None; source = (fun _ -> Some name); to_global = Fun.id })
+      q.deltas
 
 let run ?semantics ?config ?bound ?limit ?deadline t query_string =
-  let q = Atomic.get t.qview in
-  let query = Query.of_string query_string in
-  let scored_hits db source_of results =
-    let ranker = Ranker.make (Pipeline.index db) in
-    List.filter_map
-      (fun (s : Pipeline.snippet_result) ->
-        match source_of s with
-        | None -> None
-        | Some source ->
-          Some { source; score = Ranker.score ranker query s.Pipeline.result; snippet = s })
-      results
-  in
-  let base_hits =
-    if Array.length q.mask = 0 then []
-    else
-      Pipeline.run ?semantics ?config ?bound ?deadline ~mask:q.mask q.base query_string
-      |> scored_hits q.base (fun s ->
-             match member_of q (Result_tree.root s.Pipeline.result) with
-             | Some (name, _) -> Some name
-             | None -> None)
-  in
-  let delta_hits =
-    List.concat_map
-      (fun (name, db) ->
-        Pipeline.run ?semantics ?config ?bound ?deadline db query_string
-        |> scored_hits db (fun _ -> Some name))
-      q.deltas
-  in
-  let sorted =
-    List.stable_sort
-      (fun a b ->
-        if a.score <> b.score then Float.compare b.score a.score
-        else String.compare a.source b.source)
-      (base_hits @ delta_hits)
-  in
-  match limit with
-  | None -> sorted
-  | Some k -> List.filteri (fun i _ -> i < k) sorted
+  Corpus.query ?semantics ?config ?bound ?limit ?deadline
+    (segments (Atomic.get t.qview))
+    query_string

@@ -12,17 +12,22 @@
     every pipeline whose arena did not change — an add re-analyzes only
     the added document.
 
-    Results whose root is the synthetic corpus root are dropped: an LCA
-    that only exists by joining two member documents is not a result of
+    A query is a {!Corpus.query} over the view's segments: the masked
+    base, whose results are labelled with the member they fall in, then
+    one segment per delta, labelled with its name. Results whose root is
+    the synthetic corpus root are dropped before ranking: an LCA that
+    only exists by joining two member documents is not a result of
     either. Scores come from each segment's own ranker, like the static
     corpus's per-database scoring. *)
 
 type t
 
-type hit = {
+type hit = Corpus.hit = {
   source : string;  (** member-document name the hit comes from *)
+  segment : int;  (** 0 is the base, unless its visibility mask is empty *)
   score : float;
-  snippet : Pipeline.snippet_result;
+  global_root : int;  (** result root in its segment's arena *)
+  result : Pipeline.snippet_result;
 }
 
 val open_dir : ?read_only:bool -> ?on_warning:(string -> unit) -> string -> t
@@ -58,6 +63,5 @@ val run :
   t ->
   string ->
   hit list
-(** Search the base (under its visibility mask) and every delta, merge
-    and sort by decreasing score (ties: source name, then document
-    order). [limit] caps the merged list. *)
+(** {!Corpus.query} over one snapshot of the query view: the base under
+    its visibility mask, then every delta. *)

@@ -216,7 +216,7 @@ let context_of ?mask t query_string =
 
 (* Search stage shared by every run variant: one evaluation context, one
    engine pass, one histogram observation and trace span. *)
-let searched ?semantics ?limit ?mask t query_string =
+let search_ctx ?semantics ?limit ?mask t query_string =
   Registry.incr queries_total;
   timed search_seconds "pipeline.search" (fun () ->
       let ctx = context_of ?mask t query_string in
@@ -226,13 +226,13 @@ let search ?semantics ?limit ?mask t query_string =
   query_scope "search.done" query_string
     ~count:(fun rs -> List.length rs, 0)
     (fun () ->
-      let _, results = searched ?semantics ?limit ?mask t query_string in
+      let _, results = search_ctx ?semantics ?limit ?mask t query_string in
       results)
 
 let run_differentiated ?semantics ?config ?(bound = default_bound) ?limit
     ?(deadline = Deadline.never) ?mask t query_string =
   query_scope "query.done" query_string ~count:count_snippets @@ fun () ->
-  let ctx, results = searched ?semantics ?limit ?mask t query_string in
+  let ctx, results = search_ctx ?semantics ?limit ?mask t query_string in
   timed snippet_seconds "pipeline.snippet" (fun () ->
       (* one analysis per result, shared between the differentiator and each
          result's IList construction; a result whose analysis would start
@@ -271,42 +271,22 @@ let run_differentiated ?semantics ?config ?(bound = default_bound) ?limit
                { result; ilist; selection; degraded = false })
            analyses))
 
-let run_ranked ?semantics ?config ?(bound = default_bound) ?limit
-    ?(deadline = Deadline.never) ?mask t query_string =
-  query_scope "query.done" query_string
-    ~count:(fun scored -> count_snippets (List.map snd scored))
-  @@ fun () ->
-  let ctx, results = searched ?semantics ?mask t query_string in
-  let ranker = Extract_search.Ranker.make t.index in
-  let ranked =
-    Extract_search.Ranker.rank ranker (Eval_ctx.query ctx) results
-    |> fun scored ->
-    match limit with
-    | None -> scored
-    | Some k -> List.filteri (fun i _ -> i < k) scored
-  in
-  let scored =
-    timed snippet_seconds "pipeline.snippet" (fun () ->
-        List.map
-          (fun (result, score) ->
-            ( score,
-              if want_degraded deadline then degraded_snippet ~bound result
-              else snippet_with ?config ~bound ~ctx t result ))
-          ranked)
-  in
-  ignore (notify_snippets t (List.map snd scored));
-  scored
+(* one result's snippet, or the degraded one once the budget is gone *)
+let snippet_or_degraded ?config ~bound ~deadline ~ctx t result =
+  if want_degraded deadline then degraded_snippet ~bound result
+  else snippet_with ?config ~bound ~ctx t result
 
-let run ?semantics ?config ?(bound = default_bound) ?limit ?(deadline = Deadline.never)
-    ?mask t query_string =
-  query_scope "query.done" query_string ~count:count_snippets @@ fun () ->
-  let ctx, results = searched ?semantics ?limit ?mask t query_string in
+let snippets ?config ?(bound = default_bound) ?(deadline = Deadline.never) t ctx results =
   timed snippet_seconds "pipeline.snippet" (fun () ->
-      results
-      |> List.map (fun result ->
-             if want_degraded deadline then degraded_snippet ~bound result
-             else snippet_with ?config ~bound ~ctx t result)
-      |> notify_snippets t)
+      notify_snippets t (List.map (snippet_or_degraded ?config ~bound ~deadline ~ctx t) results))
+
+let scoped query_string ~snippets f =
+  query_scope "query.done" query_string ~count:(fun out -> count_snippets (snippets out)) f
+
+let run ?semantics ?config ?bound ?limit ?deadline ?mask t query_string =
+  query_scope "query.done" query_string ~count:count_snippets @@ fun () ->
+  let ctx, results = search_ctx ?semantics ?limit ?mask t query_string in
+  snippets ?config ?bound ?deadline t ctx results
 
 (* Per-result snippet generation is embarrassingly parallel: the arena,
    index, classification and evaluation context are immutable after
@@ -316,12 +296,9 @@ let run ?semantics ?config ?(bound = default_bound) ?limit ?(deadline = Deadline
 let run_parallel ?semantics ?config ?(bound = default_bound) ?limit ?(domains = 4)
     ?(deadline = Deadline.never) ?mask t query_string =
   query_scope "query.done" query_string ~count:count_snippets @@ fun () ->
-  let ctx, result_list = searched ?semantics ?limit ?mask t query_string in
+  let ctx, result_list = search_ctx ?semantics ?limit ?mask t query_string in
   let results = Array.of_list result_list in
-  let snippet result =
-    if want_degraded deadline then degraded_snippet ~bound result
-    else snippet_with ?config ~bound ~ctx t result
-  in
+  let snippet = snippet_or_degraded ?config ~bound ~deadline ~ctx t in
   let n = Array.length results in
   let domains = max 1 (min domains n) in
   timed snippet_seconds "pipeline.snippet" (fun () ->

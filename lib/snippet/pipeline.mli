@@ -138,19 +138,31 @@ val run_parallel :
     in the same order. Worth it when many large results are snippeted at
     once — see bench E19. *)
 
-val run_ranked :
+(** {1 Stages}, for {!Corpus.query}, which ranks before it snippets *)
+
+val search_ctx :
   ?semantics:Extract_search.Engine.semantics ->
-  ?config:Config.t ->
-  ?bound:int ->
   ?limit:int ->
-  ?deadline:Extract_util.Deadline.t ->
   ?mask:(int * int) array ->
   t ->
   string ->
-  (float * snippet_result) list
-(** Like {!run} but results come ranked by the XRank-style score (best
-    first), and [limit] keeps the top-scored results rather than the first
-    in document order. *)
+  Extract_search.Eval_ctx.t * Extract_search.Result_tree.t list
+(** The search stage of {!run}: its evaluation context and results. *)
+
+val snippets :
+  ?config:Config.t ->
+  ?bound:int ->
+  ?deadline:Extract_util.Deadline.t ->
+  t ->
+  Extract_search.Eval_ctx.t ->
+  Extract_search.Result_tree.t list ->
+  snippet_result list
+(** The snippet stage of {!run} for results found under the context. *)
+
+val scoped : string -> snippets:('a -> snippet_result list) -> (unit -> 'a) -> 'a
+(** [scoped query ~snippets f] runs [f] as one query, as every run
+    variant does: under one request id, logging [query.done] with the
+    counts of [snippets] of its output. *)
 
 val run_differentiated :
   ?semantics:Extract_search.Engine.semantics ->

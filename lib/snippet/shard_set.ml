@@ -2,7 +2,6 @@ module Document = Extract_store.Document
 module Codec = Extract_store.Codec
 module Envelope = Extract_store.Persist.Envelope
 module Snapshot = Extract_store.Snapshot
-module Engine = Extract_search.Engine
 module Result_tree = Extract_search.Result_tree
 module Registry = Extract_obs.Registry
 module Trace = Extract_obs.Trace
@@ -147,63 +146,52 @@ let to_global t ~shard local =
 (* ------------------------------------------------------------------ *)
 (* Query fan-out *)
 
-type hit = {
-  shard : int;
+type hit = Corpus.hit = {
+  source : string;
+  segment : int;
   score : float;
   global_root : int;
   result : Pipeline.snippet_result;
 }
 
-(* Run [f] once per shard, one domain per shard beyond the first (the
-   caller's domain takes shard 0) — the {!Pipeline.run_parallel}
-   pattern. Each [out] slot is written by exactly one domain and the
-   joins publish the writes. Spawned shards run under the caller's
-   captured trace context, so their [shard.run] spans adopt into the
-   parent query span with the caller's rid. *)
-let map_shards ~parallel f t =
-  let k = Array.length t.shards in
-  let out = Array.make k [] in (* domain-local until joined: slot i owned by worker i *)
-  let traced i s =
-    Trace.with_span ~args:[ ("shard", string_of_int i) ] "shard.run" (fun () ->
-        f i s)
+(* Phase 1 of the segment query, once per shard: one domain per shard
+   beyond the first (the caller's domain takes shard 0) — the
+   {!Pipeline.run_parallel} pattern; the joins publish each shard's
+   writes. Spawned shards run under the caller's captured trace context,
+   so their [shard.run] spans adopt into the parent query span with the
+   caller's rid. *)
+let fan_out ~parallel k f =
+  let traced i =
+    Trace.with_span ~args:[ ("shard", string_of_int i) ] "shard.run" (fun () -> f i)
   in
-  if (not parallel) || k <= 1 then
-    Array.iteri (fun i s -> out.(i) <- traced i s) t.shards
+  if (not parallel) || k <= 1 then List.iter traced (List.init k Fun.id)
   else begin
     let ctx = Trace.capture () in
     let spawned =
       List.init (k - 1) (fun d ->
-          let i = d + 1 in
-          Domain.spawn (fun () ->
-              Trace.with_context ctx (fun () -> out.(i) <- traced i t.shards.(i))))
+          Domain.spawn (fun () -> Trace.with_context ctx (fun () -> traced (d + 1))))
     in
-    out.(0) <- traced 0 t.shards.(0);
+    traced 0;
     List.iter Domain.join spawned
-  end;
-  out
+  end
 
+(* One segment per shard. Labels sort in shard order (zero-padded to the
+   widest index), so the segment query's ties fall to the lower shard.
+   Results rooted at the shard-local root are dropped: they have no
+   counterpart in the unsharded evaluation (documented in the mli). *)
 let run ?semantics ?config ?bound ?limit ?mask ?deadline ?(parallel = true) t query =
   Registry.incr queries_total;
-  let per_shard =
-    map_shards ~parallel
-      (fun i s ->
-        let mask = Option.map (fun m -> translate_mask t ~shard:i m) mask in
-        (* results rooted at the shard-local root are dropped: they have
-           no counterpart in the unsharded evaluation (documented in the
-           mli) *)
-        Pipeline.run_ranked ?semantics ?config ?bound ?limit ?mask ?deadline s.db
-          query
-        |> List.filter (fun (_, r) -> Result_tree.root r.Pipeline.result <> 0))
-      t
-  in
-  Engine.merge_scored ?limit per_shard
-  |> List.map (fun (score, (i, r)) ->
+  let k = Array.length t.shards in
+  Corpus.query ?semantics ?config ?bound ?limit ?deadline ~fan_out:(fan_out ~parallel)
+    (List.init k (fun i ->
+         let label = Printf.sprintf "shard-%0*d" (String.length (string_of_int (k - 1))) i in
          {
-           shard = i;
-           score;
-           global_root = to_global t ~shard:i (Result_tree.root r.Pipeline.result);
-           result = r;
-         })
+           Corpus.db = t.shards.(i).db;
+           mask = Option.map (fun m -> translate_mask t ~shard:i m) mask;
+           source = (fun r -> if Result_tree.root r = 0 then None else Some label);
+           to_global = to_global t ~shard:i;
+         }))
+    query
 
 (* ------------------------------------------------------------------ *)
 (* Persistence: a directory of per-shard v2 snapshots plus a sealed

@@ -1,6 +1,6 @@
 (** Multi-document sharding: split one corpus into N independently
-    analyzed shards, fan a query out over them (one domain per shard) and
-    merge the ranked answers.
+    analyzed shards and query them as one {!Corpus.query}, one segment
+    per shard, with phase 1 fanned out one domain per shard.
 
     A shard is built from a contiguous group of the global root's child
     subtrees: shard-local node 0 is a copy of the global root, local ids
@@ -15,9 +15,10 @@
     of the real document root, so its subtree (and any snippet built
     from it) would silently miss the other shards' content. Queries
     whose only connection runs through the global root therefore return
-    fewer results than {!Pipeline.run_ranked} on the whole corpus;
-    everything rooted strictly below the top-level children is
-    identical (test suite [shard.equivalence]).
+    fewer results than {!Corpus.run} over the whole corpus; everything
+    rooted strictly below the top-level children is identical (test
+    suite [shard.query]). The drop happens before ranking, so it never
+    costs a real answer its place under [limit].
 
     Persistence is a directory: one v2 {!Extract_store.Snapshot} per
     shard plus a sealed manifest ([shards.manifest], magic
@@ -52,10 +53,11 @@ val translate_mask : t -> shard:int -> (int * int) array -> (int * int) array
     filtered, no results, matching the global evaluation of that
     region. *)
 
-type hit = {
-  shard : int;
+type hit = Corpus.hit = {
+  source : string;  (** ["shard-N"], zero-padded so labels sort in shard order *)
+  segment : int;  (** the shard index *)
   score : float;
-  global_root : int; (** the result root translated via {!to_global} *)
+  global_root : int;  (** the result root translated via {!to_global} *)
   result : Pipeline.snippet_result;
 }
 
@@ -70,17 +72,17 @@ val run :
   t ->
   string ->
   hit list
-(** Fan the query out — one {!Pipeline.run_ranked} per shard, each on
-    its own domain when [parallel] (default [true]; the caller's domain
-    takes shard 0) — and k-way merge the ranked lists
-    ({!Extract_search.Engine.merge_scored}): best first, ties toward
-    the lower shard index, identical output sequential or parallel.
-    [mask] is a global-id mask, translated per shard. [limit] bounds
-    both each shard's work and the merged answer. [deadline] is passed
-    to every shard's pipeline run, so a sharded query degrades on
-    budget exhaustion exactly like a flat one. When tracing, each shard
-    records a [shard.run{shard=i}] span adopted under the caller's open
-    span with the caller's request id ({!Extract_obs.Trace.capture}). *)
+(** {!Corpus.query} over one segment per shard. Phase 1 (search and
+    score every shard-level answer) runs each shard on its own domain
+    when [parallel] (default [true]; the caller's domain takes shard 0);
+    phase 2 snippets only the [limit] best answers overall, on the
+    caller's domain. Best first, ties toward the lower shard index,
+    identical output sequential or parallel. [mask] is a global-id
+    mask, translated per shard. [deadline] degrades the winners'
+    snippets exactly like a flat query. When tracing, each shard
+    records one [shard.run{shard=i}] span for its phase 1, adopted
+    under the caller's open span with the caller's request id
+    ({!Extract_obs.Trace.capture}); phase-2 spans carry no shard. *)
 
 (** {1 Persistence} *)
 

@@ -9,6 +9,7 @@ module Engine = Extract_search.Engine
 module Query = Extract_search.Query
 module Datagen = Extract_datagen
 module Pipeline = Extract_snippet.Pipeline
+module Corpus = Extract_snippet.Corpus
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -224,9 +225,9 @@ let test_run_ranked_sorted () =
     Pipeline.build
       (Document.of_document (Datagen.Retail.generate Datagen.Retail.default))
   in
-  let ranked = Pipeline.run_ranked ~bound:6 db "jeans store" in
+  let ranked = Corpus.run ~bound:6 (Corpus.of_list [ "retail", db ]) "jeans store" in
   check bool "has results" true (ranked <> []);
-  let scores = List.map fst ranked in
+  let scores = List.map (fun h -> h.Corpus.score) ranked in
   check bool "descending" true (List.sort (fun a b -> compare b a) scores = scores)
 
 let test_run_ranked_limit_keeps_best () =
@@ -234,12 +235,14 @@ let test_run_ranked_limit_keeps_best () =
     Pipeline.build
       (Document.of_document (Datagen.Retail.generate Datagen.Retail.default))
   in
-  let all = Pipeline.run_ranked db "jeans store" in
-  let top = Pipeline.run_ranked ~limit:3 db "jeans store" in
+  let corpus = Corpus.of_list [ "retail", db ] in
+  let scores = List.map (fun h -> h.Corpus.score) in
+  let all = Corpus.run corpus "jeans store" in
+  let top = Corpus.run ~limit:3 corpus "jeans store" in
   check int "limited" 3 (List.length top);
   (* the limited list is a prefix of the full ranking *)
   check bool "prefix of full ranking" true
-    (List.map fst top = List.filteri (fun i _ -> i < 3) (List.map fst all))
+    (scores top = List.filteri (fun i _ -> i < 3) (scores all))
 
 let suites =
   [

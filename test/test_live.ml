@@ -287,7 +287,7 @@ let test_live_add_and_query () =
   let hits = Live_corpus.run lc "storm" in
   check bool "snippets attached" true
     (List.for_all
-       (fun (h : Live_corpus.hit) -> not h.snippet.Pipeline.degraded)
+       (fun (h : Live_corpus.hit) -> not h.result.Pipeline.degraded)
        hits);
   Live_corpus.close lc
 

@@ -94,7 +94,7 @@ let test_hits_translate_roots () =
   check bool "some hits" true (hits <> []);
   List.iter
     (fun h ->
-      let g0, g1 = Shard_set.provenance t h.Shard_set.shard in
+      let g0, g1 = Shard_set.provenance t h.Shard_set.segment in
       check bool "root inside shard block" true
         (h.Shard_set.global_root >= g0 && h.Shard_set.global_root <= g1))
     hits
@@ -132,14 +132,14 @@ let test_masked_equivalence () =
         (global_roots_sharded ~mask ~parallel:false q = global_roots_unsharded ~mask q);
       (* and nothing leaks from the hidden shard *)
       List.iter
-        (fun h -> check bool "no hit from hidden shard" true (h.Shard_set.shard <> 0))
+        (fun h -> check bool "no hit from hidden shard" true (h.Shard_set.segment <> 0))
         (Shard_set.run ~semantics:Engine.Slca ~mask ~parallel:false t q))
     queries
 
 (* ------------------------------------------------------------------ *)
 (* Parallel fan-out determinism *)
 
-let hit_key h = Shard_set.(h.shard, h.score, h.global_root)
+let hit_key h = Shard_set.(h.segment, h.score, h.global_root)
 
 let test_parallel_equals_sequential () =
   let t = Lazy.force sharded in
@@ -178,6 +178,26 @@ let test_limit_bounds_merged_answer () =
   check bool "limit keeps the best" true
     (List.map hit_key top
     = List.map hit_key (List.filteri (fun i _ -> i < 2) all))
+
+(* Regression: Shard_set.run used to cut each shard's ranking to [limit]
+   before dropping results rooted at the shard-local root, so such a
+   root could take the place of a real answer. Here the root is an ELCA
+   of its own two <p> children and outranks the three <qN> answers. *)
+let test_limit_counts_only_answers () =
+  let answer i =
+    Printf.sprintf "<q%d><a><b><c>alpha</c></b></a><a><b><c>beta</c></b></a></q%d>" i i
+  in
+  let doc =
+    Document.load_string
+      ("<db><p>alpha</p><p>beta</p>" ^ answer 1 ^ answer 2 ^ answer 3 ^ "</db>")
+  in
+  let t = Shard_set.split ~shards:1 doc in
+  let run ?limit () =
+    Shard_set.run ~semantics:Engine.Elca ?limit ~parallel:false t "alpha beta"
+  in
+  check int "unlimited" 3 (List.length (run ()));
+  check int "limit 3 keeps all three answers" 3 (List.length (run ~limit:3 ()));
+  check bool "same hits" true (List.map hit_key (run ~limit:3 ()) = List.map hit_key (run ()))
 
 (* ------------------------------------------------------------------ *)
 (* The merge itself *)
@@ -221,7 +241,7 @@ let test_save_load_roundtrip () =
     (fun q ->
       let roots t =
         Shard_set.run ~semantics:Engine.Slca ~parallel:false t q
-        |> List.map (fun h -> h.Shard_set.shard, h.Shard_set.global_root)
+        |> List.map (fun h -> h.Shard_set.segment, h.Shard_set.global_root)
       in
       check bool (q ^ ": loaded answers match") true (roots t = roots t2))
     queries
@@ -275,6 +295,7 @@ let suites =
         case "parallel = sequential" test_parallel_equals_sequential;
         case "deadline degrades, never raises" test_run_deadline_degrades;
         case "limit bounds the merged answer" test_limit_bounds_merged_answer;
+        case "limit counts only answers" test_limit_counts_only_answers;
       ] );
     ( "shard.mask",
       [

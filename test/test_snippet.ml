@@ -741,8 +741,11 @@ let test_degraded_all_run_variants () =
   check bool "run" true (all_degraded (Pipeline.run ~deadline:d db "guard"));
   check bool "run_parallel" true
     (all_degraded (Pipeline.run_parallel ~domains:2 ~deadline:d db "guard"));
-  check bool "run_ranked" true
-    (all_degraded (List.map snd (Pipeline.run_ranked ~deadline:d db "guard")));
+  check bool "one-segment corpus" true
+    (all_degraded
+       (List.map
+          (fun h -> h.Corpus.result)
+          (Corpus.run ~deadline:d (Corpus.of_list [ "league", db ]) "guard")));
   check bool "run_differentiated" true
     (all_degraded (Pipeline.run_differentiated ~deadline:d db "guard"))
 
@@ -801,7 +804,7 @@ let test_corpus_deadline_passthrough () =
   let hits = Corpus.run ~deadline:(expired_deadline ()) corpus "guard" in
   check bool "has hits" true (hits <> []);
   check bool "all degraded" true
-    (List.for_all (fun h -> h.Corpus.snippet.Pipeline.degraded) hits)
+    (List.for_all (fun h -> h.Corpus.result.Pipeline.degraded) hits)
 
 let test_corpus_rebuilds_corrupt_artifact () =
   let dir = Filename.temp_file "extract_corpus" "" in
