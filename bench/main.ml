@@ -1643,9 +1643,9 @@ let main () =
 (* ================================================================== *)
 (* E22 — index scale-out (EXPERIMENTS.md): block-compressed postings
    vs the plain arrays, v1 bundle decode vs v2 snapshot mapping, and
-   per-shard fan-out scaling. [index] mode runs only this experiment,
-   writes BENCH_index.json and applies the two-ratio floor gate CI pins
-   via bench/index_floor.json. *)
+   the sharded top-10 query's cost per shard count. [index] mode runs
+   only this experiment, writes BENCH_index.json and applies the
+   two-ratio floor gate CI pins via bench/index_floor.json. *)
 
 let index_mode = Array.exists (fun a -> a = "index") Sys.argv
 
@@ -1664,7 +1664,7 @@ type index_metrics = {
   ix_v1_load_ns : float;
   ix_v2_map_ns : float;
   ix_speedup : float;
-  ix_shards : (int * float * float) list; (* shard count, sequential ns, parallel ns *)
+  ix_shards : (int * float) list; (* shard count, ns per query *)
 }
 
 let index_measure () =
@@ -1702,13 +1702,7 @@ let index_measure () =
     List.map
       (fun k ->
         let t = Shard_set.split ~shards:k doc in
-        let seq_ns =
-          time_median ~repeat:3 (fun () -> Shard_set.run ~parallel:false ~limit:10 t query)
-        in
-        let par_ns =
-          time_median ~repeat:3 (fun () -> Shard_set.run ~parallel:true ~limit:10 t query)
-        in
-        k, seq_ns, par_ns)
+        k, time_median ~repeat:3 (fun () -> Shard_set.run ~limit:10 t query))
       [ 1; 2; 4 ]
   in
   Sys.remove v1;
@@ -1754,10 +1748,9 @@ let index_json m =
        m.ix_v1_load_ns m.ix_v2_map_ns m.ix_speedup);
   Buffer.add_string b "  \"shards\": [\n";
   List.iteri
-    (fun i (k, seq_ns, par_ns) ->
+    (fun i (k, ns) ->
       Buffer.add_string b
-        (Printf.sprintf "    { \"shards\": %d, \"seq_ns\": %.0f, \"par_ns\": %.0f }%s\n" k
-           seq_ns par_ns
+        (Printf.sprintf "    { \"shards\": %d, \"ns\": %.0f }%s\n" k ns
            (if i = List.length m.ix_shards - 1 then "" else ",")))
     m.ix_shards;
   Buffer.add_string b "  ]\n";

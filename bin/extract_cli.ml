@@ -164,22 +164,26 @@ let open_shards dir = live_guard dir (fun () -> Shard_set.load_dir dir)
 
 (* A shard directory and a live store both answer with segment-query
    hits, so [search] and [snippet] print them alike: a shard hit names
-   its shard and global node, a live hit its member document. Returns
-   the shard count ([None] for a live store) and the query to run. *)
+   its shard and global node, a live hit its member document. For such
+   a directory, returns its opener, which yields the shard count ([None]
+   for a live store) and the query to run; opening is left to the caller
+   so it can happen inside the query's request-id scope. *)
 let open_segment_dir file =
   if Shard_set.is_shard_dir file then
-    let t = open_shards file in
     Some
-      ( Some (Shard_set.shard_count t),
-        fun ~semantics ~bound ~limit q -> Shard_set.run ~semantics ~bound ?limit t q )
+      (fun () ->
+        let t = open_shards file in
+        ( Some (Shard_set.shard_count t),
+          fun ~semantics ~bound ~limit q -> Shard_set.run ~semantics ~bound ?limit t q ))
   else if Sys.is_directory file then
-    let lc = open_live_corpus ~read_only:true file in
     Some
-      ( None,
-        fun ~semantics ~bound ~limit q ->
-          Fun.protect
-            ~finally:(fun () -> Live_corpus.close lc)
-            (fun () -> Live_corpus.run ~semantics ~bound ?limit lc q) )
+      (fun () ->
+        let lc = open_live_corpus ~read_only:true file in
+        ( None,
+          fun ~semantics ~bound ~limit q ->
+            Fun.protect
+              ~finally:(fun () -> Live_corpus.close lc)
+              (fun () -> Live_corpus.run ~semantics ~bound ?limit lc q) ))
   else None
 
 let read_whole_file path =
@@ -275,7 +279,8 @@ let search_cmd =
   in
   let run file query semantics limit ranked relax =
     match open_segment_dir file with
-    | Some (shards, run) ->
+    | Some open_dir ->
+      let shards, run = open_dir () in
       ignore ranked;
       if relax then Printf.eprintf "note: --relax is not supported for %s directories\n"
           (if Option.is_none shards then "live-store" else "shard");
@@ -363,9 +368,10 @@ let snippet_cmd =
          & info [ "trace-out" ] ~docv:"FILE"
              ~doc:
                "Record spans (implies tracing) and write them to $(docv) as Chrome \
-                trace-event JSON, loadable in Perfetto or chrome://tracing. Child-domain \
-                spans (per-shard runs, parallel-pipeline workers) appear with their own \
-                thread ids under the query span.")
+                trace-event JSON, loadable in Perfetto or chrome://tracing. A shard \
+                directory's query records one shard.run span per shard, on the query's \
+                own thread id; every span of a shard directory or live store query, \
+                loading included, carries the query's request id.")
   in
   let differentiate_flag =
     Arg.(value & flag
@@ -412,13 +418,16 @@ let snippet_cmd =
       end
     in
     match open_segment_dir file with
-    | Some (shards, run) ->
+    | Some open_dir ->
       (* the flags tied to single-database explain plumbing do not apply
          to a shard directory or a live store *)
       ignore (compare_baselines, differentiate, order, explain);
-      let hits =
+      (* one request id from opening the directory on, so the spans of
+         loading the shards carry the query's id too *)
+      let shards, hits =
         Extract_obs.Reqid.ensure (fun _rid ->
-            Trace.with_span "cli.run" (fun () -> run ~semantics ~bound ~limit query))
+            let shards, run = open_dir () in
+            shards, Trace.with_span "cli.run" (fun () -> run ~semantics ~bound ~limit query))
       in
       Printf.printf "%d hit(s) for %S, bound %d edges\n\n" (List.length hits) query bound;
       List.iteri
@@ -584,8 +593,8 @@ let pack_cmd =
             "Split the corpus into $(docv) shards (contiguous groups of the root's \
              children, roughly equal node weight) and write OUT as a directory: one \
              snapshot per shard plus a sealed $(b,shards.manifest). Such a directory is \
-             accepted by $(b,search), $(b,snippet), $(b,check) and $(b,serve), which fan \
-             queries out one domain per shard.")
+             accepted by $(b,search), $(b,snippet), $(b,check) and $(b,serve), which \
+             query it shard by shard.")
   in
   let file_size path =
     let ic = open_in_bin path in
@@ -1004,9 +1013,10 @@ let serve_cmd =
       & info [ "shards" ] ~docv:"N"
           ~doc:
             "Split the first data set into $(docv) shards and enable the /shards and \
-             /shards/search routes (per-shard query fan-out, one domain per shard). A \
-             positional argument that is a shard directory written by $(b,extract pack \
-             --shards) attaches the same routes without splitting at startup.")
+             /shards/search routes (every shard ranked, only the global winners \
+             snippeted). A positional argument that is a shard directory written by \
+             $(b,extract pack --shards) attaches the same routes without splitting at \
+             startup.")
   in
   Cmd.v
     (Cmd.info "serve" ~doc:"Run the demo web service (the paper's Fig. 5 site) over XML files.")

@@ -23,7 +23,7 @@
     child's root spans into the parent span's adoption buffer, so when
     the parent span closes they appear as its children (merged in start
     order). Adoption requires the parent span to close {e after} the
-    child finishes — the spawn/join structure of [Shard_set.run],
+    child finishes — the spawn/join structure of
     [Pipeline.run_parallel] and the server pool guarantees this; spans
     finishing after the parent closed are dropped. *)
 

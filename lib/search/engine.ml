@@ -68,8 +68,7 @@ let all_semantics = [ Slca; Elca; Xseek; Xsearch ]
 (* K-way merge of per-source scored result lists (each already sorted
    best-first) into one globally ranked list. Ties break toward the lower
    source index, and order within a source is preserved — so the merge is
-   deterministic however the sources were produced (sequentially or one
-   domain per shard). *)
+   deterministic however the sources were produced. *)
 let merge_scored ?limit (sources : (float * 'a) list array) : (float * (int * 'a)) list =
   let heads = Array.map (fun l -> ref l) sources in
   let pick () =

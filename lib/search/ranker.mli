@@ -28,6 +28,12 @@ val idf : t -> string -> float
     count. Unknown keywords get the maximum IDF. *)
 
 val score : t -> Query.t -> Result_tree.t -> float
+(** [score t query] does the per-query work once: it looks up each
+    keyword's postings ({!Extract_store.Inverted_index.lookup}, a full
+    decode on a packed index) and computes its {!idf}. The returned
+    function scores one result of [query] from that state, so apply
+    [score t query] once and reuse it across a result list. The state is
+    immutable, so the scorer may be shared freely. *)
 
 val rank : t -> Query.t -> Result_tree.t list -> (Result_tree.t * float) list
 (** Sorted by decreasing score; ties keep the input (document) order. *)

@@ -102,7 +102,7 @@ let live_journal_lag =
 type t = {
   corpus : Corpus.t;
   live : Live_corpus.t option; (* crash-safe updatable corpus, when serving one *)
-  sharded : Shard_set.t option; (* split corpus with per-shard fan-out, when serving one *)
+  sharded : Shard_set.t option; (* split corpus, queried shard by shard, when serving one *)
   pages : (string, string) Sharded_lru.t; (* request target -> rendered body *)
   snippets : Snippet_cache.t; (* (db, query, bound, …) -> snippet results *)
   degraded_served : int Atomic.t; (* deadline-degraded snippets sent so far *)
@@ -567,8 +567,8 @@ let live_status t =
 
 (* ------------------------------------------------------------------ *)
 (* Sharded serving: the /shards routes mirror /live, backed by a
-   Shard_set — one domain per shard under each request searches and
-   ranks, then only the global winners are snippeted. The shard set is
+   Shard_set — the request's worker searches and ranks each shard in
+   turn, then snippets only the global winners. The shard set is
    read-only; no admin routes. *)
 
 let with_sharded t f =

@@ -118,8 +118,8 @@ val create :
     collisions. [live] attaches a crash-safe updatable corpus and
     enables the [/admin] and [/live] routes. [sharded] attaches a
     read-only split corpus ({!Extract_snippet.Shard_set}) and enables
-    the [/shards] (status) and [/shards/search] (per-shard fan-out,
-    k-way merged) routes — the CLI's [serve --shards].
+    the [/shards] (status) and [/shards/search] (every shard ranked,
+    only the global winners snippeted) routes — the CLI's [serve --shards].
 
     Creation also (re-)registers the server's runtime collectors
     ({!Extract_obs.Runtime.register_collector}): cache-occupancy gauges

@@ -108,16 +108,18 @@ let query ?semantics ?config ?bound ?limit ?deadline ?(fan_out = sequentially) s
   fan_out (Array.length segments) (fun i ->
       let { db; mask; source; _ } = segments.(i) in
       let ctx, results = Pipeline.search_ctx ?semantics ?mask db query_string in
-      let ranker = Ranker.make (Pipeline.index db) in
-      ranked.(i) <-
-        List.filter_map
-          (fun tree ->
-            Option.map
-              (fun label ->
-                let relevance = Ranker.score ranker (Eval_ctx.query ctx) tree in
-                { label; seg = i; relevance; tree; ctx })
-              (source tree))
-          results);
+      let answers =
+        List.filter_map (fun tree -> Option.map (fun label -> label, tree) (source tree)) results
+      in
+      match answers with
+      | [] -> ()
+      | _ ->
+        (* one posting lookup per keyword for the whole segment *)
+        let score = Ranker.score (Ranker.make (Pipeline.index db)) (Eval_ctx.query ctx) in
+        ranked.(i) <-
+          List.map
+            (fun (label, tree) -> { label; seg = i; relevance = score tree; tree; ctx })
+            answers);
   (* one global order: score, then source label; the stable sort keeps
      segment order, then document order, among the rest *)
   let winners =

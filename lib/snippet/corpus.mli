@@ -39,7 +39,8 @@ val query :
   hit list
 (** Rank globally, then snippet only the winners, under one request id.
     Phase 1 searches each segment, drops the results [source] rejects
-    and scores the rest with the segment's own ranker; [fan_out n f]
+    and scores the rest with the segment's own ranker, applied to the
+    query once per segment ({!Extract_search.Ranker.score}); [fan_out n f]
     calls [f i] once per segment [i < n], on any domain (default: in
     order, on the caller's). All answers take one order: decreasing
     score, then label, then segment, then document order. Phase 2

@@ -154,35 +154,22 @@ type hit = Corpus.hit = {
   result : Pipeline.snippet_result;
 }
 
-(* Phase 1 of the segment query, once per shard: one domain per shard
-   beyond the first (the caller's domain takes shard 0) — the
-   {!Pipeline.run_parallel} pattern; the joins publish each shard's
-   writes. Spawned shards run under the caller's captured trace context,
-   so their [shard.run] spans adopt into the parent query span with the
-   caller's rid. *)
-let fan_out ~parallel k f =
-  let traced i =
+(* Phase 1 of the segment query, once per shard, in shard order on the
+   caller's domain: the server's worker pool is the only executor a
+   query runs on. Each shard records one [shard.run] span. *)
+let fan_out k f =
+  for i = 0 to k - 1 do
     Trace.with_span ~args:[ ("shard", string_of_int i) ] "shard.run" (fun () -> f i)
-  in
-  if (not parallel) || k <= 1 then List.iter traced (List.init k Fun.id)
-  else begin
-    let ctx = Trace.capture () in
-    let spawned =
-      List.init (k - 1) (fun d ->
-          Domain.spawn (fun () -> Trace.with_context ctx (fun () -> traced (d + 1))))
-    in
-    traced 0;
-    List.iter Domain.join spawned
-  end
+  done
 
 (* One segment per shard. Labels sort in shard order (zero-padded to the
    widest index), so the segment query's ties fall to the lower shard.
    Results rooted at the shard-local root are dropped: they have no
    counterpart in the unsharded evaluation (documented in the mli). *)
-let run ?semantics ?config ?bound ?limit ?mask ?deadline ?(parallel = true) t query =
+let run ?semantics ?config ?bound ?limit ?mask ?deadline ?parallel:_ t query =
   Registry.incr queries_total;
   let k = Array.length t.shards in
-  Corpus.query ?semantics ?config ?bound ?limit ?deadline ~fan_out:(fan_out ~parallel)
+  Corpus.query ?semantics ?config ?bound ?limit ?deadline ~fan_out
     (List.init k (fun i ->
          let label = Printf.sprintf "shard-%0*d" (String.length (string_of_int (k - 1))) i in
          {

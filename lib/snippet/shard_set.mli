@@ -1,6 +1,7 @@
 (** Multi-document sharding: split one corpus into N independently
     analyzed shards and query them as one {!Corpus.query}, one segment
-    per shard, with phase 1 fanned out one domain per shard.
+    per shard. Every phase runs on the caller's domain: a query spawns
+    no domain, so a server's worker pool is the only executor it uses.
 
     A shard is built from a contiguous group of the global root's child
     subtrees: shard-local node 0 is a copy of the global root, local ids
@@ -72,17 +73,16 @@ val run :
   t ->
   string ->
   hit list
-(** {!Corpus.query} over one segment per shard. Phase 1 (search and
-    score every shard-level answer) runs each shard on its own domain
-    when [parallel] (default [true]; the caller's domain takes shard 0);
-    phase 2 snippets only the [limit] best answers overall, on the
-    caller's domain. Best first, ties toward the lower shard index,
-    identical output sequential or parallel. [mask] is a global-id
+(** {!Corpus.query} over one segment per shard, on the caller's domain.
+    Phase 1 searches and scores every shard-level answer, shard by
+    shard; phase 2 snippets only the [limit] best answers overall. Best
+    first, ties toward the lower shard index. [mask] is a global-id
     mask, translated per shard. [deadline] degrades the winners'
-    snippets exactly like a flat query. When tracing, each shard
-    records one [shard.run{shard=i}] span for its phase 1, adopted
-    under the caller's open span with the caller's request id
-    ({!Extract_obs.Trace.capture}); phase-2 spans carry no shard. *)
+    snippets exactly like a flat query. [parallel] selects nothing and
+    is ignored; it remains only so existing callers still compile. When
+    tracing, each shard records one [shard.run{shard=i}] span for its
+    phase 1, a child of the caller's open span on the caller's domain
+    with the caller's request id; phase-2 spans carry no shard. *)
 
 (** {1 Persistence} *)
 

@@ -302,6 +302,72 @@ let test_ranker_bad_decay () =
   Alcotest.check_raises "decay 0" (Invalid_argument "Ranker.make: decay must be in (0, 1]")
     (fun () -> ignore (Ranker.make ~decay:0.0 (Pipeline.index db)))
 
+(* Partial application: [Ranker.score t q] looks each keyword up once
+   per query, and every result it scores must get the float the
+   per-result formula gives — a lookup and an [idf] for every keyword of
+   every result — bit for bit, on plain and on packed indexes. *)
+let reference_score ranker index ~decay query result =
+  let doc = Result_tree.document result in
+  let root_depth = Document.depth doc (Result_tree.root result) in
+  let per_keyword k =
+    match Result_tree.restrict_matches result (Inverted_index.lookup index k) with
+    | [] -> 0.0
+    | matches ->
+      let best_decay =
+        List.fold_left
+          (fun best m -> max best (decay ** float_of_int (Document.depth doc m - root_depth)))
+          0.0 matches
+      in
+      let tf = log (1.0 +. float_of_int (List.length matches)) in
+      Ranker.idf ranker k *. best_decay *. (1.0 +. tf)
+  in
+  let keyword_score =
+    List.fold_left (fun acc k -> acc +. per_keyword k) 0.0 (Query.keywords query)
+  in
+  keyword_score *. (1.0 +. (1.0 /. log (2.0 +. float_of_int (Result_tree.element_size result))))
+
+let ranker_corpora =
+  lazy
+    (List.concat_map
+       (fun xml ->
+         let db = Pipeline.build (Document.of_document xml) in
+         let packed =
+           Pipeline.of_parts (Pipeline.document db) (Inverted_index.pack (Pipeline.index db))
+         in
+         let queries =
+           Extract_datagen.Workload.generate
+             { Extract_datagen.Workload.default with Extract_datagen.Workload.queries = 16 }
+             (Pipeline.kinds db)
+           @ [ "store"; "retailer apparel"; "nosuchword store" ]
+         in
+         [ db, queries; packed, queries ])
+       [
+         Extract_datagen.Retail.generate
+           { Extract_datagen.Retail.default with Extract_datagen.Retail.retailers = 3 };
+         Extract_datagen.Movies.sized 12;
+         Extract_datagen.Auction.sized 20;
+         Extract_datagen.Bib.sized 20;
+         Extract_datagen.Courses.sized 20;
+       ])
+
+let prop_ranker_partial_application =
+  QCheck.Test.make ~count:60 ~name:"score applied once per query = per-result formula, bitwise"
+    QCheck.(make Gen.(triple nat nat (oneofl [ 0.8; 0.5; 1.0 ])))
+    (fun (ci, qi, decay) ->
+      let corpora = Lazy.force ranker_corpora in
+      let db, queries = List.nth corpora (ci mod List.length corpora) in
+      let q = List.nth queries (qi mod List.length queries) in
+      let query = Query.of_string q in
+      let index = Pipeline.index db in
+      let ranker = Ranker.make ~decay index in
+      let score = Ranker.score ranker query in
+      List.for_all
+        (fun r ->
+          Int64.equal
+            (Int64.bits_of_float (score r))
+            (Int64.bits_of_float (reference_score ranker index ~decay query r)))
+        (Pipeline.search db q))
+
 (* ------------------------------------------------------------------ *)
 (* XSearch *)
 
@@ -712,6 +778,7 @@ let suites =
         Alcotest.test_case "sorted" `Quick test_ranker_sorted_desc;
         Alcotest.test_case "zero score" `Quick test_ranker_zero_for_no_match;
         Alcotest.test_case "bad decay" `Quick test_ranker_bad_decay;
+        QCheck_alcotest.to_alcotest prop_ranker_partial_application;
       ] );
     ( "ext.xsearch",
       [

@@ -9,7 +9,7 @@
        the merge the three modules each ran before the segment query.
 
    Plus the work bound (phase 2 builds at most [limit] snippets) and the
-   trace shape of a fanned-out shard query. *)
+   trace shape of a shard query. *)
 
 module Document = Extract_store.Document
 module Live = Extract_store.Live
@@ -210,11 +210,11 @@ let prop_corpus =
 let prop_shards =
   let queries = lazy (queries_of [ Pipeline.build (Lazy.force shard_doc) ]) in
   QCheck.Test.make ~count:25 ~name:"shards k=1..4: limit is a prefix, run = reference"
-    QCheck.(make Gen.(quad (int_range 0 3) nat gen_limit bool))
-    (fun (k, qi, limit, parallel) ->
+    QCheck.(make Gen.(triple (int_range 0 3) nat gen_limit))
+    (fun (k, qi, limit) ->
       let t = (Lazy.force shard_sets).(k) in
       agrees
-        ~run:(fun ~bound ?limit q -> Shard_set.run ~bound ?limit ~parallel t q)
+        ~run:(fun ~bound ?limit q -> Shard_set.run ~bound ?limit t q)
         ~segments:(shard_segments t) ~limit
         (pick (Lazy.force queries) qi))
 
@@ -294,8 +294,9 @@ let test_work_bound_live () =
       check_work_bound "live" (fun ~limit q -> Live_corpus.run ~limit lc q))
 
 (* ------------------------------------------------------------------ *)
-(* Trace shape: one shard.run{shard=i} per shard under one request id;
-   the phase-2 spans carry no shard *)
+(* Trace shape: one shard.run{shard=i} per shard under one request id,
+   all on the caller's domain (a sharded query spawns none); the
+   phase-2 spans carry no shard *)
 
 let rec flatten (s : Trace.span) = s :: List.concat_map flatten s.Trace.children
 
@@ -307,7 +308,7 @@ let test_trace_one_span_per_shard () =
     Reqid.with_id "q000077" (fun () ->
         Trace.with_recording (fun () ->
             Trace.with_span "query" (fun () ->
-                Shard_set.run ~limit:3 ~parallel:true t "apparel retailer")))
+                Shard_set.run ~limit:3 t "apparel retailer")))
   in
   check bool "some hits" true (hits <> []);
   let spans = List.concat_map flatten (Trace.finished ()) in
@@ -323,7 +324,12 @@ let test_trace_one_span_per_shard () =
          (fun s -> not (List.exists (fun c -> c.Trace.name = "pipeline.snippet") (flatten s)))
          sharded);
   check bool "one request id" true
-    (List.for_all (fun s -> s.Trace.rid = Some "q000077") spans)
+    (List.for_all (fun s -> s.Trace.rid = Some "q000077") spans);
+  let caller = (Domain.self () :> int) in
+  List.iter
+    (fun s ->
+      check int (Printf.sprintf "%s runs on the caller's domain" s.Trace.name) caller s.Trace.dom)
+    spans
 
 let case name f = Alcotest.test_case name `Quick f
 

@@ -1,7 +1,7 @@
 (* Sharded query fan-out: splitting preserves every subtree below the
    root, provenance intervals tile the corpus, mask translation matches
-   the global tombstone semantics, parallel fan-out is deterministic,
-   and a shard directory roundtrips through save_dir/load_dir. *)
+   the global tombstone semantics, limits and deadlines apply to the
+   merged answer, and a shard directory roundtrips through save_dir/load_dir. *)
 
 module Codec = Extract_store.Codec
 module Document = Extract_store.Document
@@ -76,8 +76,8 @@ let global_roots_unsharded ?mask q =
   |> List.filter (fun r -> r <> 0)
   |> List.sort compare
 
-let global_roots_sharded ?mask ~parallel q =
-  Shard_set.run ~semantics:Engine.Slca ?mask ~parallel (Lazy.force sharded) q
+let global_roots_sharded ?mask q =
+  Shard_set.run ~semantics:Engine.Slca ?mask (Lazy.force sharded) q
   |> List.map (fun h -> h.Shard_set.global_root)
   |> List.sort compare
 
@@ -85,12 +85,12 @@ let test_slca_equivalence () =
   List.iter
     (fun q ->
       check bool (q ^ ": sharded = unsharded") true
-        (global_roots_sharded ~parallel:false q = global_roots_unsharded q))
+        (global_roots_sharded q = global_roots_unsharded q))
     queries
 
 let test_hits_translate_roots () =
   let t = Lazy.force sharded in
-  let hits = Shard_set.run ~parallel:false t "retailer" in
+  let hits = Shard_set.run t "retailer" in
   check bool "some hits" true (hits <> []);
   List.iter
     (fun h ->
@@ -129,27 +129,17 @@ let test_masked_equivalence () =
   List.iter
     (fun q ->
       check bool (q ^ ": masked sharded = masked unsharded") true
-        (global_roots_sharded ~mask ~parallel:false q = global_roots_unsharded ~mask q);
+        (global_roots_sharded ~mask q = global_roots_unsharded ~mask q);
       (* and nothing leaks from the hidden shard *)
       List.iter
         (fun h -> check bool "no hit from hidden shard" true (h.Shard_set.segment <> 0))
-        (Shard_set.run ~semantics:Engine.Slca ~mask ~parallel:false t q))
+        (Shard_set.run ~semantics:Engine.Slca ~mask t q))
     queries
 
 (* ------------------------------------------------------------------ *)
-(* Parallel fan-out determinism *)
+(* Deadlines and limits on the merged answer *)
 
 let hit_key h = Shard_set.(h.segment, h.score, h.global_root)
-
-let test_parallel_equals_sequential () =
-  let t = Lazy.force sharded in
-  List.iter
-    (fun q ->
-      let seq = Shard_set.run ~parallel:false t q in
-      let par = Shard_set.run ~parallel:true t q in
-      check bool (q ^ ": parallel = sequential") true
-        (List.map hit_key seq = List.map hit_key par))
-    queries
 
 (* Regression: Shard_set.run used to drop its caller's deadline on the
    floor, so /shards/search had no degradation path. An expired deadline
@@ -157,22 +147,22 @@ let test_parallel_equals_sequential () =
 let test_run_deadline_degrades () =
   let t = Lazy.force sharded in
   let roots hits = List.sort compare (List.map (fun h -> h.Shard_set.global_root) hits) in
-  let full = Shard_set.run ~parallel:false t "retailer" in
+  let full = Shard_set.run t "retailer" in
   let expired = Extract_util.Deadline.after 0. in
-  let hits = Shard_set.run ~parallel:false ~deadline:expired t "retailer" in
+  let hits = Shard_set.run ~deadline:expired t "retailer" in
   check bool "expired deadline still answers" true (hits <> []);
   check bool "hit roots unchanged under degradation" true (roots hits = roots full);
   check bool "snippets degraded rather than dropped" true
     (List.for_all (fun h -> h.Shard_set.result.Pipeline.degraded) hits);
   (* a generous deadline changes nothing *)
-  let easy = Shard_set.run ~parallel:false ~deadline:(Extract_util.Deadline.after 60.) t "retailer" in
+  let easy = Shard_set.run ~deadline:(Extract_util.Deadline.after 60.) t "retailer" in
   check bool "generous deadline = no deadline" true
     (List.map hit_key easy = List.map hit_key full)
 
 let test_limit_bounds_merged_answer () =
   let t = Lazy.force sharded in
-  let all = Shard_set.run ~parallel:false t "retailer" in
-  let top = Shard_set.run ~parallel:false ~limit:2 t "retailer" in
+  let all = Shard_set.run t "retailer" in
+  let top = Shard_set.run ~limit:2 t "retailer" in
   check bool "enough hits to truncate" true (List.length all > 2);
   check int "limit respected" 2 (List.length top);
   check bool "limit keeps the best" true
@@ -193,7 +183,7 @@ let test_limit_counts_only_answers () =
   in
   let t = Shard_set.split ~shards:1 doc in
   let run ?limit () =
-    Shard_set.run ~semantics:Engine.Elca ?limit ~parallel:false t "alpha beta"
+    Shard_set.run ~semantics:Engine.Elca ?limit t "alpha beta"
   in
   check int "unlimited" 3 (List.length (run ()));
   check int "limit 3 keeps all three answers" 3 (List.length (run ~limit:3 ()));
@@ -240,7 +230,7 @@ let test_save_load_roundtrip () =
   List.iter
     (fun q ->
       let roots t =
-        Shard_set.run ~semantics:Engine.Slca ~parallel:false t q
+        Shard_set.run ~semantics:Engine.Slca t q
         |> List.map (fun h -> h.Shard_set.segment, h.Shard_set.global_root)
       in
       check bool (q ^ ": loaded answers match") true (roots t = roots t2))
@@ -292,7 +282,6 @@ let suites =
       [
         case "slca equivalence" test_slca_equivalence;
         case "hits translate into shard blocks" test_hits_translate_roots;
-        case "parallel = sequential" test_parallel_equals_sequential;
         case "deadline degrades, never raises" test_run_deadline_degrades;
         case "limit bounds the merged answer" test_limit_bounds_merged_answer;
         case "limit counts only answers" test_limit_counts_only_answers;

@@ -107,8 +107,8 @@ let safe_field_types = [ "Atomic.t"; "Domain.DLS.key" ]
 
 (* Shard_set.t is on the roster because its synchronization story is
    internal to the module: the shard array is built once and never
-   mutated, and the query fan-out spawns/joins its domains inside
-   [Shard_set.run] — holders of a shard set need no locking of their
+   mutated, and [Shard_set.run] reads it on the caller's domain without
+   spawning any — holders of a shard set need no locking of their
    own. *)
 let internal_sync_types = [ "Sharded_lru.t"; "Snippet_cache.t"; "Shard_set.t" ]
 
