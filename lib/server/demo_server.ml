@@ -307,6 +307,11 @@ let with_query ~deadline params f =
     end
     else f q
 
+(* the Fig. 5 page, as its own span: a slow request's trace splits
+   pipeline time from render time *)
+let render_page ~title ~query ~bound results =
+  Trace.with_span "snippet.render" (fun () -> Html_view.result_page ~title ~query ~bound results)
+
 let search_page t ~deadline target params =
   with_db t params (fun name db ->
       with_query ~deadline params (fun q ->
@@ -332,9 +337,7 @@ let search_page t ~deadline target params =
             in
             ignore (Atomic.fetch_and_add t.degraded_served degraded);
             let body =
-              Html_view.result_page
-                ~title:(Printf.sprintf "eXtract — %s" name)
-                ~query:q ~bound results
+              render_page ~title:(Printf.sprintf "eXtract — %s" name) ~query:q ~bound results
             in
             if degraded = 0 then Sharded_lru.put t.pages target body;
             ok body))
@@ -605,7 +608,7 @@ let segment_search_page ~title ~run ~deadline params =
         slowlogged ~query:q (fun () ->
             List.map (fun (h : Corpus.hit) -> h.Corpus.result) (run ~bound ~limit ~deadline q))
       in
-      ok (Html_view.result_page ~title:(title ()) ~query:q ~bound hits))
+      ok (render_page ~title:(title ()) ~query:q ~bound hits))
 
 (* ------------------------------------------------------------------ *)
 (* Health surface: /healthz answers 200 whenever the process routes
@@ -822,6 +825,36 @@ let bound_port sock =
 
 let max_request_line = 8192
 
+(* One connection's read side: the bytes read from the socket but not
+   yet consumed. Every request is framed from it, so bytes of a
+   pipelined next request stay buffered for the next turn of the
+   keep-alive loop. A read timeout or reset raises from [available] as
+   from the [Unix.read] it wraps. *)
+type reader = { (* domain-local: owned by the worker serving the connection *)
+  fd : Unix.file_descr;
+  chunk : Bytes.t;
+  mutable pos : int; (* next unconsumed byte *)
+  mutable len : int; (* end of the buffered bytes *)
+}
+
+let reader fd = { fd; chunk = Bytes.create 4096; pos = 0; len = 0 }
+
+(* at least one byte is buffered, reading if none is; false at end of
+   stream *)
+let available r =
+  r.pos < r.len
+  || begin
+    let n = Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) in
+    r.pos <- 0;
+    r.len <- n;
+    n > 0
+  end
+
+let take r =
+  let c = Bytes.get r.chunk r.pos in
+  r.pos <- r.pos + 1;
+  c
+
 type read_outcome =
   | Line of string
   | Eof
@@ -829,20 +862,18 @@ type read_outcome =
   | Too_long
   | Bad_cr
 
-let read_request_line fd =
-  (* byte-wise up to the first line terminator; ample for a request line *)
+let read_request_line r =
   let buf = Buffer.create 128 in
-  let byte = Bytes.create 1 in
   let rec loop n =
     if n >= max_request_line then Too_long
-    else if Unix.read fd byte 0 1 <> 1 then Eof
+    else if not (available r) then Eof
     else begin
-      match Bytes.get byte 0 with
+      match take r with
       | '\n' -> Line (Buffer.contents buf)
       | '\r' ->
         (* CR is only valid as the first half of the CRLF terminator *)
-        if Unix.read fd byte 0 1 <> 1 then Eof
-        else if Bytes.get byte 0 = '\n' then Line (Buffer.contents buf)
+        if not (available r) then Eof
+        else if take r = '\n' then Line (Buffer.contents buf)
         else Bad_cr
       | c ->
         Buffer.add_char buf c;
@@ -871,8 +902,7 @@ type header_outcome =
   | Header_timeout
   | Bad_content_length
 
-let read_headers ~max_bytes fd =
-  let byte = Bytes.create 1 in
+let read_headers ~max_bytes r =
   let line = Buffer.create 64 in
   let connection = ref [] in
   let content_length = ref None in
@@ -907,9 +937,9 @@ let read_headers ~max_bytes fd =
   in
   let rec loop consumed =
     if consumed >= max_bytes then Header_overflow
-    else if Unix.read fd byte 0 1 <> 1 then finish true
+    else if not (available r) then finish true
     else
-      match Bytes.get byte 0 with
+      match take r with
       | '\n' ->
         let l = Buffer.contents line in
         Buffer.clear line;
@@ -934,14 +964,16 @@ let read_headers ~max_bytes fd =
    413 instead of being read. *)
 let max_body_bytes = 1_048_576
 
-let drain_body ~length fd =
-  let chunk = Bytes.create 4096 in
+let drain_body ~length r =
   let rec loop remaining =
     if remaining <= 0 then `Drained
     else
-      match Unix.read fd chunk 0 (min remaining (Bytes.length chunk)) with
-      | 0 -> `Eof
-      | n -> loop (remaining - n)
+      match available r with
+      | false -> `Eof
+      | true ->
+        let n = min remaining (r.len - r.pos) in
+        r.pos <- r.pos + n;
+        loop (remaining - n)
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _)
         ->
         `Timeout
@@ -951,15 +983,22 @@ let drain_body ~length fd =
 
 (* POST bodies are captured rather than drained — same bound, same
    timeout discipline. A peer that closes mid-body gets 400, not a
-   request served from a silently truncated payload. *)
-let read_body ~length fd =
+   request served from a silently truncated payload. The buffered bytes
+   come first; the rest is read straight into the body. *)
+let read_body ~length r =
   if length = 0 then `Body ""
   else begin
     let buf = Bytes.create length in
     let rec loop off =
       if off >= length then `Body (Bytes.unsafe_to_string buf)
+      else if r.pos < r.len then begin
+        let n = min (length - off) (r.len - r.pos) in
+        Bytes.blit r.chunk r.pos buf off n;
+        r.pos <- r.pos + n;
+        loop (off + n)
+      end
       else
-        match Unix.read fd buf off (length - off) with
+        match Unix.read r.fd buf off (length - off) with
         | 0 -> `Eof
         | n -> loop (off + n)
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _)
@@ -986,8 +1025,12 @@ let write_response ~http11 ~keep_alive fd r =
       r.status r.reason r.content_type (String.length r.body) extra
       (if keep_alive then "keep-alive" else "close")
   in
-  let payload = head ^ r.body in
-  let bytes = Bytes.of_string payload in
+  (* head and body leave in one write from one exact-size copy: two
+     writes would let Nagle hold the body behind the peer's delayed ACK *)
+  let head_len = String.length head and body_len = String.length r.body in
+  let bytes = Bytes.create (head_len + body_len) in
+  Bytes.blit_string head 0 bytes 0 head_len;
+  Bytes.blit_string r.body 0 bytes head_len body_len;
   let rec write_all off =
     if off < Bytes.length bytes then begin
       let n = Unix.write fd bytes off (Bytes.length bytes - off) in
@@ -1003,6 +1046,7 @@ let write_response ~http11 ~keep_alive fd r =
    trusted to have framed the rest of the stream correctly. *)
 let handle_connection ?(worker = 0) ?(queue_wait = 0.) ~config ~max_requests t fd =
   set_socket_timeouts fd config.timeout_ms;
+  let r = reader fd in
   let requests = worker_requests_total worker in
   let rec loop served =
     let last = served + 1 >= max_requests in
@@ -1024,7 +1068,7 @@ let handle_connection ?(worker = 0) ?(queue_wait = 0.) ~config ~max_requests t f
         Registry.incr (transport_error_counter "write_timeout");
         config.log "response write timed out (slow reader); dropped"
     in
-    match read_request_line fd with
+    match read_request_line r with
     (* between keep-alive requests, a vanished or idle peer is normal
        connection end, not an error worth a response *)
     | Eof when served > 0 -> ()
@@ -1045,7 +1089,7 @@ let handle_connection ?(worker = 0) ?(queue_wait = 0.) ~config ~max_requests t f
       | (("GET" | "POST") as meth_str) :: target :: rest -> begin
         let meth = if meth_str = "POST" then Post else Get in
         let http11 = List.mem "HTTP/1.1" rest in
-        match read_headers ~max_bytes:config.max_header_bytes fd with
+        match read_headers ~max_bytes:config.max_header_bytes r with
         | Header_overflow ->
           finish ~http11 ~may_continue:false
             (error 431 "Request Header Fields Too Large"
@@ -1067,11 +1111,11 @@ let handle_connection ?(worker = 0) ?(queue_wait = 0.) ~config ~max_requests t f
             | None | Some 0 -> `Body ""
             | Some n when n > max_body_bytes -> `Too_big
             | Some n ->
-              if meth = Post then read_body ~length:n fd
+              if meth = Post then read_body ~length:n r
               else begin
                 (* a GET body is dead weight: consume it for keep-alive
                    framing, never hand it to the routes *)
-                match drain_body ~length:n fd with
+                match drain_body ~length:n r with
                 | `Drained -> `Body ""
                 | (`Eof | `Timeout) as r -> r
               end

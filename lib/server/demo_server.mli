@@ -263,7 +263,14 @@ val parse_target : string -> string * (string * string) list
 
 val max_request_line : int
 (** 8192 — the byte bound on the request line, terminator excluded;
-    {!read_request_line} reads not one byte past it. *)
+    {!read_request_line} consumes not one byte past it. *)
+
+type reader
+(** One connection's buffered read side: requests are read from the
+    socket in chunks, and bytes past the current request (a pipelined
+    next request) stay buffered for the next read. *)
+
+val reader : Unix.file_descr -> reader
 
 type read_outcome =
   | Line of string  (** a complete request line, terminator stripped *)
@@ -272,7 +279,7 @@ type read_outcome =
   | Too_long  (** no terminator within {!max_request_line} bytes *)
   | Bad_cr  (** a CR not immediately followed by LF *)
 
-val read_request_line : Unix.file_descr -> read_outcome
+val read_request_line : reader -> read_outcome
 (** Read one LF- or CRLF-terminated line, byte-bounded. A bare CR inside
     the line is rejected as {!Bad_cr} (answered 400), not silently
     dropped. *)

@@ -11,20 +11,14 @@
 val escape : string -> string
 (** HTML-escape text content. *)
 
-val snippet_to_html : Snippet_tree.t -> string
-(** The snippet as a nested [<ul class="snippet">] fragment, values
-    inline. *)
-
-val result_tree_to_html : Extract_search.Result_tree.t -> string
-(** A (possibly large) result as the same nested-list markup. *)
-
 val result_page :
   ?title:string ->
   query:string ->
   bound:int ->
   Pipeline.snippet_result list ->
   string
-(** The complete page. *)
+(** The complete page, written in one pass into one buffer sized up
+    front from the results. *)
 
 val write_page :
   path:string ->

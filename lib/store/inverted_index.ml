@@ -32,11 +32,20 @@ let build doc =
     done;
     id, Arraylist.get lists id
   in
-  (* Nodes are visited in pre-order, so posting lists stay sorted; only
-     consecutive duplicates (same node, same token twice) need removing. *)
+  (* Nodes are visited in pre-order, so posting lists stay sorted, with
+     one exception: a text node posts its parent, and in mixed content
+     (text after a child element) a descendant of that parent may have
+     posted the token already. Those lists are sorted and deduplicated
+     once at the end; elsewhere only consecutive duplicates (same node,
+     same token twice) need removing. *)
+  let unsorted = Hashtbl.create 8 in
   let add tok node =
-    let _, list = posting_for tok in
-    if Arraylist.is_empty list || Arraylist.last list <> node then Arraylist.push list node
+    let id, list = posting_for tok in
+    if Arraylist.is_empty list || Arraylist.last list < node then Arraylist.push list node
+    else if Arraylist.last list > node then begin
+      Hashtbl.replace unsorted id ();
+      Arraylist.push list node
+    end
   in
   for node = 0 to Document.node_count doc - 1 do
     if Document.is_element doc node then
@@ -55,6 +64,9 @@ let build doc =
   done;
   let postings = Array.make (Arraylist.length lists) [||] in
   Arraylist.iteri (fun i list -> postings.(i) <- Arraylist.to_array list) lists;
+  Hashtbl.iter
+    (fun id () -> postings.(id) <- Array.of_list (List.sort_uniq Int.compare (Array.to_list postings.(id))))
+    unsorted;
   { doc; tokens; postings = Plain postings; tag_tokens; sorted_tokens = None }
 
 let document t = t.doc

@@ -748,6 +748,135 @@ let test_html_write_page () =
   Sys.remove path;
   check bool "file written" true (contains_substring content "</html>")
 
+(* Byte identity: [Html_view.result_page] writes every page exactly as
+   the previous renderer did ([Html_reference], kept verbatim). Inputs:
+   the datagen corpora, random documents whose tags, values, titles and
+   queries carry the four escaped bytes ([&], [<], [>], the double
+   quote) and whitespace edge cases (leading, trailing,
+   whitespace-only, several text children per element), each also
+   mapped back from an XTRSNAP2 snapshot (blob-backed texts), and
+   degraded snippets from an expired deadline. *)
+
+let hostile_words = [| "a&b"; "<x>"; "q\"t"; "p>"; "plain"; "zeta" |]
+
+let hostile_values =
+  [| " lead"; "trail "; "  both  "; "   "; "\t\n"; ""; "a&b <x> \"q\"t\" p>"; "plain zeta";
+     "x\r\n"; "&amp;" |]
+
+let gen_hostile_doc =
+  let open QCheck.Gen in
+  let tag = oneofa [| "a&b"; "x<y"; "q\"t"; "p>"; "item"; "name"; "row" |] in
+  let text = map Extract_xml.Types.text (oneofa hostile_values) in
+  let rec node depth =
+    if depth = 0 then map2 (fun t v -> Extract_xml.Types.element t [ v ]) tag text
+    else
+      frequency
+        [
+          3, map2 (fun t v -> Extract_xml.Types.element t [ v ]) tag text;
+          (* several text children, and text mixed with elements *)
+          1, map2 Extract_xml.Types.element tag (list_size (int_range 2 3) text);
+          1, map2 Extract_xml.Types.element tag (list_size (int_range 1 3) (oneof [ text; node (depth - 1) ]));
+          3, map2 Extract_xml.Types.element tag (list_size (int_range 1 4) (node (depth - 1)));
+        ]
+  in
+  map
+    (fun kids -> Document.of_xml (Extract_xml.Types.element "root" kids))
+    (list_size (int_range 1 4) (node 3))
+
+let html_corpora =
+  lazy
+    (List.map
+       (fun xml -> Pipeline.build (Document.of_document xml))
+       [
+         Extract_datagen.Retail.generate
+           { Extract_datagen.Retail.default with Extract_datagen.Retail.retailers = 3 };
+         Extract_datagen.Movies.sized 12;
+         Extract_datagen.Auction.sized 20;
+         Extract_datagen.Bib.sized 20;
+         Extract_datagen.Courses.sized 20;
+       ])
+
+let snapshot_mapped db =
+  let path = Filename.temp_file "extract_html" ".snap" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Extract_store.Snapshot.save path (Pipeline.document db) (Pipeline.index db);
+      let doc, index = Extract_store.Snapshot.load path in
+      Pipeline.of_parts doc index)
+
+let same_page ?title ~query ~bound results =
+  String.equal
+    (Html_view.result_page ?title ~query ~bound results)
+    (Html_reference.result_page ?title ~query ~bound results)
+
+let html_titles = [| None; Some "eXtract — retail"; Some "T&C <\"x\"> >"; Some "" |]
+
+let prop_html_byte_identical =
+  QCheck.Test.make ~count:80 ~name:"result_page = the previous renderer, byte for byte"
+    QCheck.(
+      make
+        Gen.(
+          pair
+            (pair (oneof [ map (fun i -> `Datagen i) nat; map (fun d -> `Hostile d) gen_hostile_doc ]) bool)
+            (quad nat (int_range 0 8) (oneofa html_titles) bool)))
+    (fun ((source, mapped), (qi, bound, title, degrade)) ->
+      let db, queries =
+        match source with
+        | `Datagen i ->
+          let corpora = Lazy.force html_corpora in
+          let db = List.nth corpora (i mod List.length corpora) in
+          ( db,
+            Extract_datagen.Workload.generate
+              { Extract_datagen.Workload.default with Extract_datagen.Workload.queries = 8 }
+              (Pipeline.kinds db) )
+        | `Hostile doc ->
+          ( Pipeline.build doc,
+            Array.to_list hostile_words @ [ "plain a&b"; "zeta \"q\"t <x>"; "lead trail both" ] )
+      in
+      let db = if mapped then snapshot_mapped db else db in
+      let q = List.nth queries (qi mod List.length queries) in
+      let deadline = if degrade then Some (Extract_util.Deadline.after (-1.0)) else None in
+      let results = Pipeline.run ~bound ?deadline db q in
+      same_page ?title ~query:q ~bound results)
+
+let test_html_degraded_identical () =
+  let db = db_of league in
+  let results = Pipeline.run ~bound:4 ~deadline:(Extract_util.Deadline.after (-1.0)) db "guard" in
+  check bool "degraded snippets rendered" true
+    (results <> [] && List.for_all (fun r -> r.Pipeline.degraded) results);
+  check bool "degraded page identical" true (same_page ~query:"guard" ~bound:4 results)
+
+(* shard and live pages, built through Corpus.query as the server's
+   /shards/search and /live/search build them *)
+let test_html_segment_pages_identical () =
+  let xml seed =
+    Extract_xml.Printer.document_to_string ~indent:None
+      (Extract_datagen.Retail.generate
+         { Extract_datagen.Retail.default with Extract_datagen.Retail.seed; retailers = 2 })
+  in
+  let queries = [ "store"; "retailer apparel"; "store texas"; "nosuchword" ] in
+  let pages run =
+    List.iter
+      (fun q ->
+        let results = List.map (fun (h : Corpus.hit) -> h.Corpus.result) (run q) in
+        check bool (Printf.sprintf "page for %S identical" q) true
+          (same_page ~title:"eXtract — segments" ~query:q ~bound:6 results))
+      queries
+  in
+  let shards = Shard_set.split ~shards:3 (Document.load_string (xml 3)) in
+  pages (fun q -> Shard_set.run ~bound:6 ~limit:10 shards q);
+  let dir = Filename.temp_file "extract_html_live" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let live = Live_corpus.open_dir dir in
+  Fun.protect
+    ~finally:(fun () -> Live_corpus.close live)
+    (fun () ->
+      Live_corpus.add live ~name:"a.xml" ~xml:(xml 4);
+      Live_corpus.add live ~name:"b.xml" ~xml:(xml 5);
+      pages (fun q -> Live_corpus.run ~bound:6 ~limit:10 live q))
+
 let suites =
   [
     ( "ext.config",
@@ -830,5 +959,8 @@ let suites =
         Alcotest.test_case "page structure" `Quick test_html_page_structure;
         Alcotest.test_case "values escaped" `Quick test_html_values_escaped;
         Alcotest.test_case "write page" `Quick test_html_write_page;
+        Alcotest.test_case "degraded page identical" `Quick test_html_degraded_identical;
+        Alcotest.test_case "segment pages identical" `Quick test_html_segment_pages_identical;
+        QCheck_alcotest.to_alcotest prop_html_byte_identical;
       ] );
   ]

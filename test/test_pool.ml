@@ -309,7 +309,48 @@ let test_pipelined_requests () =
       let head2, _ = recv_response fd in
       check bool "first pipelined ok" true (contains_substring head1 " 200 ");
       check bool "second pipelined ok" true (contains_substring head2 " 200 ");
+      (* the first one carries a body to drain: the second request sits
+         right behind it in the same read *)
+      write_all fd
+        "GET /stats?data=paper HTTP/1.1\r\nContent-Length: 4\r\n\r\nbodyGET / HTTP/1.1\r\n\r\n";
+      let head3, _ = recv_response fd in
+      let head4, body4 = recv_response fd in
+      check bool "pipelined after a body ok" true (contains_substring head3 " 200 ");
+      check bool "request behind the body answered" true
+        (contains_substring head4 " 200 " && contains_substring body4 "eXtract");
       Unix.close fd)
+
+(* The buffered reader frames requests however the bytes arrive: two
+   pipelined requests (the first with a body to drain) split into two
+   writes at every offset, and delivered one byte per write. *)
+let test_request_split_at_every_offset () =
+  let srv = server () in
+  let payload =
+    "GET /stats?data=paper HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nbody\
+     GET / HTTP/1.1\r\nConnection: close\r\n\r\n"
+  in
+  let exchange port writes =
+    let fd = connect port in
+    List.iteri
+      (fun i part ->
+        if i > 0 then Unix.sleepf 0.001;
+        write_all fd part)
+      writes;
+    let head1, body1 = recv_response fd in
+    let head2, body2 = recv_response fd in
+    let closed = at_eof fd in
+    Unix.close fd;
+    contains_substring head1 " 200 " && contains_substring body1 "nodes"
+    && contains_substring head2 " 200 " && contains_substring body2 "eXtract"
+    && closed
+  in
+  with_pool srv (fun port ->
+      for k = 1 to String.length payload - 1 do
+        let parts = [ String.sub payload 0 k; String.sub payload k (String.length payload - k) ] in
+        if not (exchange port parts) then Alcotest.failf "split at offset %d not served" k
+      done;
+      check bool "one byte per write" true
+        (exchange port (List.init (String.length payload) (fun i -> String.make 1 payload.[i]))))
 
 let test_connection_close_honored () =
   let srv = server () in
@@ -603,6 +644,7 @@ let suites =
       [
         Alcotest.test_case "two requests, one connection" `Quick test_keepalive_two_requests;
         Alcotest.test_case "pipelined pair" `Quick test_pipelined_requests;
+        Alcotest.test_case "split at every offset" `Quick test_request_split_at_every_offset;
         Alcotest.test_case "connection: close honored" `Quick test_connection_close_honored;
         Alcotest.test_case "http/1.0 closes by default" `Quick test_http10_defaults_to_close;
         Alcotest.test_case "http/1.0 keep-alive token" `Quick

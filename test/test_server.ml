@@ -299,7 +299,7 @@ let request_line data =
     (fun () ->
       write_all a data;
       Unix.shutdown a Unix.SHUTDOWN_SEND;
-      Demo_server.read_request_line b)
+      Demo_server.read_request_line (Demo_server.reader b))
 
 let test_read_request_line_forms () =
   (match request_line "GET / HTTP/1.0\r\n" with
@@ -741,6 +741,55 @@ let test_fanout_routes_access_logged () =
             (contains_substring l "\"rid\": \"q"))
         access)
 
+(* Each search route renders its page under one snippet.render span, a
+   child of the request's http.request span with the same rid; a page
+   served from the page cache renders nothing. *)
+let test_render_span_per_search_route () =
+  let module Trace = Extract_obs.Trace in
+  let doc = Document.of_document (Extract_datagen.Paper_example.document ()) in
+  let live_srv, live = live_server () in
+  ignore (post ~body:(store_xml "Austin" "Rendered Store") live_srv "/admin/add?name=a.xml");
+  let sharded_srv =
+    Demo_server.create
+      ~sharded:(Extract_snippet.Shard_set.split ~shards:2 doc)
+      (Corpus.of_list [ "paper", Pipeline.build doc ])
+  in
+  let rec renders (s : Trace.span) =
+    (if s.Trace.name = "snippet.render" then 1 else 0)
+    + List.fold_left (fun n c -> n + renders c) 0 s.Trace.children
+  in
+  let traced srv target =
+    Trace.clear ();
+    let r = Demo_server.handle srv target in
+    check int (target ^ " served") 200 r.Demo_server.status;
+    match Trace.finished () with
+    | [ root ] when root.Trace.name = "http.request" -> root
+    | roots -> Alcotest.failf "%s: expected one http.request root, got %d" target (List.length roots)
+  in
+  Trace.set_sample_interval 1;
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.set_sample_interval 0;
+      Trace.clear ();
+      Extract_snippet.Live_corpus.close live)
+    (fun () ->
+      List.iter
+        (fun (srv, target) ->
+          let root = traced srv target in
+          match List.filter (fun c -> c.Trace.name = "snippet.render") root.Trace.children with
+          | [ render ] ->
+            check int (target ^ ": no other render span") 1 (renders root);
+            check bool (target ^ ": same rid") true
+              (root.Trace.rid <> None && render.Trace.rid = root.Trace.rid)
+          | l -> Alcotest.failf "%s: expected one snippet.render child, got %d" target (List.length l))
+        [
+          sharded_srv, "/search?data=paper&q=store+texas";
+          sharded_srv, "/shards/search?q=store+texas";
+          live_srv, "/live/search?q=rendered";
+        ];
+      check int "page-cache hit renders nothing" 0
+        (renders (traced sharded_srv "/search?data=paper&q=store+texas")))
+
 let suites =
   [
     ( "util.lru",
@@ -795,6 +844,8 @@ let suites =
         Alcotest.test_case "request id propagation" `Quick test_request_id_propagation;
         Alcotest.test_case "fan-out routes access-logged" `Quick
           test_fanout_routes_access_logged;
+        Alcotest.test_case "render span per search route" `Quick
+          test_render_span_per_search_route;
       ] );
     ( "server.live",
       [

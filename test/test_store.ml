@@ -217,7 +217,11 @@ let test_index_postings_sorted_unique () =
   let idx = Inverted_index.build d in
   let l = Inverted_index.lookup idx "x" in
   check int "dedup within node" 2 (Array.length l);
-  check bool "sorted" true (l.(0) < l.(1))
+  check bool "sorted" true (l.(0) < l.(1));
+  (* mixed content: the text after <b> posts <a> again, after <b> *)
+  let mixed = Inverted_index.build (load "<r><a>x<b>x</b>x</a></r>") in
+  check bool "mixed content sorted, deduplicated" true
+    (Inverted_index.lookup mixed "x" = [| 1; 3 |])
 
 let test_index_match_kind () =
   let d = load "<r><city>city</city><name>Houston</name></r>" in
