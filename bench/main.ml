@@ -1268,55 +1268,6 @@ let e18_kernel =
 
 
 (* ================================================================== *)
-(* E19 (Fig. M) — multicore scaling of per-result snippet generation    *)
-
-let e19 () =
-  (* many large results: every store in a big retail dataset *)
-  let cfg =
-    {
-      Datagen.Retail.default with
-      Datagen.Retail.retailers = 6;
-      stores_per_retailer = 8;
-      clothes_per_store = 60;
-    }
-  in
-  let db = Pipeline.build (Document.of_document (Datagen.Retail.generate cfg)) in
-  let query = "store apparel" in
-  let n_results = List.length (Pipeline.search db query) in
-  let repeat = if quick then 3 else 5 in
-  let base = time_median ~repeat (fun () -> Pipeline.run ~bound:10 db query) in
-  let t =
-    Table.create [ "domains"; "wall time"; "speedup"; "results" ]
-  in
-  Table.add_row t [ "sequential"; ns_to_string base; "1.00x"; string_of_int n_results ];
-  List.iter
-    (fun domains ->
-      let ns =
-        time_median ~repeat (fun () -> Pipeline.run_parallel ~bound:10 ~domains db query)
-      in
-      Table.add_row t
-        [
-          string_of_int domains;
-          ns_to_string ns;
-          Printf.sprintf "%.2fx" (base /. ns);
-          string_of_int n_results;
-        ])
-    (if quick then [ 2; 4 ] else [ 1; 2; 4; 8 ]);
-  Table.print
-    ~title:
-      (Printf.sprintf
-         "E19 (Fig. M) — snippet generation across OCaml domains (host has %d core(s); \
-          speedup requires a multicore host — outputs are checked equal in the tests)"
-         (Domain.recommended_domain_count ()))
-    t
-
-let e19_kernel =
-  Test.make ~name:"e19_parallel_snippets"
-    (Staged.stage (fun () ->
-         let _, db = hd_exn (Lazy.force datasets) in
-         Pipeline.run_parallel ~bound:10 ~domains:2 ~limit:8 db "apparel retailer"))
-
-(* ================================================================== *)
 (* E20 (hotpath) — query hot-path: interval vs linear match restriction,
    limit pushdown, and the query-level snippet cache                    *)
 
@@ -1603,7 +1554,7 @@ let main () =
       [
         e1_kernel; e2_kernel; e3_kernel; e4_kernel; e5_greedy_kernel; e5_optimal_kernel;
         e6_kernel; e7_kernel; e8_kernel; e9_kernel; e10_kernel; e11_kernel; e12_kernel;
-        e13_kernel; e14_kernel; e15_kernel; e16_kernel; e17_kernel; e18_kernel; e19_kernel;
+        e13_kernel; e14_kernel; e15_kernel; e16_kernel; e17_kernel; e18_kernel;
       ]
   in
   let results =
@@ -1636,7 +1587,6 @@ let main () =
   e16 ();
   e17 ();
   e18 ();
-  e19 ();
   ignore (e20 ());
   print_endline "done."
 

@@ -123,7 +123,9 @@ let load_db file =
     Printf.eprintf "error: %s: %s\n%!" file (Extract_xml.Error.to_string pos msg);
     exit 1
   | exception Extract_store.Codec.Corrupt msg ->
-    Printf.eprintf "error: %s: %s\n%!" file msg;
+    (* snapshot messages already lead with the path *)
+    if String.starts_with ~prefix:(file ^ ": ") msg then Printf.eprintf "error: %s\n%!" msg
+    else Printf.eprintf "error: %s: %s\n%!" file msg;
     exit 1
   | exception Extract_store.Codec.Truncated msg ->
     Printf.eprintf "error: %s: truncated: %s\n%!" file msg;

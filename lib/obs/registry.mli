@@ -15,8 +15,8 @@
     identity as a different kind raises [Invalid_argument].
 
     {b Locking.} Every registration, update and render takes one global
-    mutex, so {!Extract_snippet.Pipeline.run_parallel} domains and server
-    threads can record concurrently without torn reads; renders observe a
+    mutex, so the server's worker domains and the runtime sampler
+    thread can record concurrently without torn reads; renders observe a
     consistent snapshot. Updates are far off any per-node hot loop (they
     fire per stage, per request or per cache probe), so the single lock
     is not a scaling concern.

@@ -1,9 +1,8 @@
 (* Request ids are small sequential tokens ("q000042"), not UUIDs: the
    process is the correlation domain (logs, spans, slowlog all live in
    one process), so short monotonic ids read better in terminals and
-   cost nothing. The current id is domain-local, so parallel snippet
-   workers and future per-domain request handlers don't clobber each
-   other. *)
+   cost nothing. The current id is domain-local, so the server's worker
+   domains don't clobber each other. *)
 
 let next = Atomic.make 1
 

@@ -8,7 +8,7 @@
     tokens beat UUIDs for terminal reading.
 
     The {e current} id is domain-local: scopes on different domains
-    (parallel snippet workers, per-connection handlers) never interfere. *)
+    (the server's worker domains) never interfere. *)
 
 val fresh : unit -> string
 (** A new unique id ("q000001" first). Does not set the current id. *)

@@ -10,13 +10,6 @@ type span = {
   children : span list;
 }
 
-(* Spans finished on a child domain, waiting to be adopted by the parent
-   span that captured the context. *)
-type collector = {
-  c_lock : Mutex.t;
-  mutable c_spans : span list; (* guarded-by: c_lock *)
-}
-
 (* an open span being built; children accumulate reversed *)
 (* domain-local — open spans live on the per-domain DLS stack below *)
 type building = {
@@ -25,7 +18,6 @@ type building = {
   b_rid : string option;
   b_args : (string * string) list;
   mutable b_children : span list;
-  mutable b_adopt : collector option;
 }
 
 let on = Atomic.make false
@@ -52,15 +44,10 @@ let with_recording f =
     r := saved;
     raise e
 
-(* Per-domain open-span stack: parallel snippet workers each trace their
-   own subtree without interleaving. *)
+(* Per-domain open-span stack: the server's workers each trace their own
+   requests without interleaving. *)
 let stack_key : building list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
-
-(* Where completed roots on this domain go: a parent span's collector
-   when running under with_context, else the global buffer. *)
-let sink_key : collector option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
 
 (* Completed roots, across all domains, newest first, bounded. *)
 let roots_lock = Mutex.create ()
@@ -83,21 +70,15 @@ let rec take n = function
   | x :: tl -> x :: take (n - 1) tl
 
 let push_root s =
-  match !(Domain.DLS.get sink_key) with
-  | Some c ->
-    Mutex.lock c.c_lock;
-    c.c_spans <- s :: c.c_spans;
-    Mutex.unlock c.c_lock
-  | None ->
-    Mutex.lock roots_lock;
-    roots := s :: !roots;
-    incr roots_len;
-    let cap = Atomic.get capacity in
-    if !roots_len > cap then begin
-      roots := take cap !roots;
-      roots_len := cap
-    end;
-    Mutex.unlock roots_lock
+  Mutex.lock roots_lock;
+  roots := s :: !roots;
+  incr roots_len;
+  let cap = Atomic.get capacity in
+  if !roots_len > cap then begin
+    roots := take cap !roots;
+    roots_len := cap
+  end;
+  Mutex.unlock roots_lock
 
 let finished () =
   Mutex.lock roots_lock;
@@ -121,26 +102,14 @@ let clear () =
   Mutex.unlock roots_lock;
   Domain.DLS.get stack_key := []
 
+(* a finished span becomes a child of the open span below it, else a root *)
+let attach stack s =
+  match !stack with
+  | top :: _ -> top.b_children <- s :: top.b_children
+  | [] -> push_root s
+
 let close_span stack b =
-  let adopted =
-    match b.b_adopt with
-    | None -> []
-    | Some c ->
-      Mutex.lock c.c_lock;
-      let s = c.c_spans in
-      c.c_spans <- [];
-      Mutex.unlock c.c_lock;
-      s
-  in
-  let children =
-    match adopted with
-    | [] -> List.rev b.b_children
-    | _ ->
-      List.sort
-        (fun a b -> Float.compare a.start b.start)
-        (List.rev_append b.b_children adopted)
-  in
-  let finished_span =
+  attach stack
     {
       name = b.b_name;
       start = b.b_start;
@@ -148,13 +117,8 @@ let close_span stack b =
       rid = b.b_rid;
       dom = (Domain.self () :> int);
       args = b.b_args;
-      children;
+      children = List.rev b.b_children;
     }
-  in
-  (match !stack with
-  | top :: _ -> top.b_children <- finished_span :: top.b_children
-  | [] -> push_root finished_span);
-  finished_span
 
 let with_span ?(args = []) name f =
   if not (recording ()) then f ()
@@ -165,8 +129,7 @@ let with_span ?(args = []) name f =
         b_start = Deadline.now ();
         b_rid = Reqid.current ();
         b_args = args;
-        b_children = [];
-        b_adopt = None }
+        b_children = [] }
     in
     stack := b :: !stack;
     let pop () =
@@ -174,7 +137,7 @@ let with_span ?(args = []) name f =
       (match !stack with
       | top :: rest when top == b ->
         stack := rest;
-        ignore (close_span stack b)
+        close_span stack b
       | _ -> ())
     in
     match f () with
@@ -200,60 +163,8 @@ let add_span ?(args = []) ?rid name ~start ~duration =
         children = [];
       }
     in
-    match !(Domain.DLS.get stack_key) with
-    | top :: _ -> top.b_children <- s :: top.b_children
-    | [] -> push_root s
+    attach (Domain.DLS.get stack_key) s
   end
-
-(* ------------------------------------------------------------------ *)
-(* Cross-domain context propagation                                    *)
-
-type context = {
-  ctx_rid : string option;
-  ctx_sink : collector option;
-  ctx_record : bool;
-}
-
-let capture () =
-  let record = recording () in
-  let sink =
-    if not record then None
-    else
-      match !(Domain.DLS.get stack_key) with
-      | [] -> !(Domain.DLS.get sink_key)
-      | top :: _ -> (
-        match top.b_adopt with
-        | Some _ as c -> c
-        | None ->
-          let c = { c_lock = Mutex.create (); c_spans = [] } in
-          top.b_adopt <- Some c;
-          Some c)
-  in
-  { ctx_rid = Reqid.current (); ctx_sink = sink; ctx_record = record }
-
-let with_context ctx f =
-  let run () =
-    let sink = Domain.DLS.get sink_key in
-    let saved_sink = !sink in
-    sink := ctx.ctx_sink;
-    let r = Domain.DLS.get recording_key in
-    let saved_rec = !r in
-    if ctx.ctx_record then r := true;
-    let restore () =
-      sink := saved_sink;
-      r := saved_rec
-    in
-    match f () with
-    | x ->
-      restore ();
-      x
-    | exception e ->
-      restore ();
-      raise e
-  in
-  match ctx.ctx_rid with
-  | Some rid when Reqid.current () <> Some rid -> Reqid.with_id rid run
-  | _ -> run ()
 
 (* ------------------------------------------------------------------ *)
 (* Sampling                                                            *)

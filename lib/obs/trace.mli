@@ -10,22 +10,11 @@
     Tracing is {b off by default} and costs one atomic read plus one
     domain-local read per {!with_span} when off. When on, each span
     allocates a small record; the current-span stack is per-domain
-    (domain-local storage), so {!Extract_snippet.Pipeline.run_parallel}
-    workers trace independently without interleaving. Completed root
-    spans land in a bounded global buffer (newest kept, oldest dropped;
-    see {!set_buffer_capacity}) under a mutex, in completion order.
-
-    {b Cross-domain propagation.} Spans completing on a spawned domain
-    would otherwise surface as unrelated roots with no request id. A
-    parent {!capture}s its context before spawning; the child wraps its
-    work in {!with_context}, which (a) re-establishes the parent's
-    {!Reqid} so child spans render with the same rid, and (b) routes the
-    child's root spans into the parent span's adoption buffer, so when
-    the parent span closes they appear as its children (merged in start
-    order). Adoption requires the parent span to close {e after} the
-    child finishes — the spawn/join structure of
-    [Pipeline.run_parallel] and the server pool guarantees this; spans
-    finishing after the parent closed are dropped. *)
+    (domain-local storage), so the server's worker domains trace their
+    requests independently without interleaving: a request's span tree
+    is a plain stack on the domain that serves it. Completed root spans
+    land in a bounded global buffer (newest kept, oldest dropped; see
+    {!set_buffer_capacity}) under a mutex, in completion order. *)
 
 type span = {
   name : string;
@@ -49,8 +38,7 @@ val enabled : unit -> bool
 
 val recording : unit -> bool
 (** True when spans opened now would be recorded: tracing is enabled
-    process-wide {e or} this domain is inside {!with_recording} /
-    a recording {!with_context}. *)
+    process-wide {e or} this domain is inside {!with_recording}. *)
 
 val with_recording : (unit -> 'a) -> 'a
 (** [with_recording f] records spans opened by [f] on this domain even
@@ -74,20 +62,6 @@ val add_span :
     the accept queue. Attaches to the currently open span on this domain
     (or becomes a root). [rid] defaults to the current {!Reqid};
     negative durations clamp to [0.]. No-op unless {!recording}. *)
-
-type context
-(** A parent's tracing context, captured before spawning. *)
-
-val capture : unit -> context
-(** Snapshot the current request id, recording state, and open span (the
-    adoption point for child roots) on this domain. Cheap when not
-    recording. *)
-
-val with_context : context -> (unit -> 'a) -> 'a
-(** [with_context ctx f], on a spawned domain: runs [f] under the
-    captured request id, with recording forced if the parent was
-    recording, routing root spans into the captured parent span.
-    Restores this domain's previous state afterwards. *)
 
 val finished : unit -> span list
 (** The root spans completed so far, oldest first, and clears them. Spans

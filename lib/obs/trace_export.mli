@@ -8,8 +8,7 @@
     rebased so the earliest span in the export starts at 0 (keeping
     microsecond precision through float rendering);
     [pid] is always 0 and [tid] is the OCaml domain id the span ran on,
-    so domain fan-out (parallel-pipeline workers, server workers)
-    renders as parallel tracks. The request
+    so the server's worker domains render as parallel tracks. The request
     id and span labels appear in each event's [args]. *)
 
 val json : Trace.span list -> Jsonv.t

@@ -271,14 +271,15 @@ let run_differentiated ?semantics ?config ?(bound = default_bound) ?limit
                { result; ilist; selection; degraded = false })
            analyses))
 
-(* one result's snippet, or the degraded one once the budget is gone *)
-let snippet_or_degraded ?config ~bound ~deadline ~ctx t result =
-  if want_degraded deadline then degraded_snippet ~bound result
-  else snippet_with ?config ~bound ~ctx t result
-
 let snippets ?config ?(bound = default_bound) ?(deadline = Deadline.never) t ctx results =
   timed snippet_seconds "pipeline.snippet" (fun () ->
-      notify_snippets t (List.map (snippet_or_degraded ?config ~bound ~deadline ~ctx t) results))
+      notify_snippets t
+        (List.map
+           (fun result ->
+             (* the degraded snippet once the budget is gone *)
+             if want_degraded deadline then degraded_snippet ~bound result
+             else snippet_with ?config ~bound ~ctx t result)
+           results))
 
 let scoped query_string ~snippets f =
   query_scope "query.done" query_string ~count:(fun out -> count_snippets (snippets out)) f
@@ -287,42 +288,3 @@ let run ?semantics ?config ?bound ?limit ?deadline ?mask t query_string =
   query_scope "query.done" query_string ~count:count_snippets @@ fun () ->
   let ctx, results = search_ctx ?semantics ?limit ?mask t query_string in
   snippets ?config ?bound ?deadline t ctx results
-
-(* Per-result snippet generation is embarrassingly parallel: the arena,
-   index, classification and evaluation context are immutable after
-   construction, and each result's analysis/selection state is local.
-   Results are dealt round-robin across domains and reassembled in
-   order. *)
-let run_parallel ?semantics ?config ?(bound = default_bound) ?limit ?(domains = 4)
-    ?(deadline = Deadline.never) ?mask t query_string =
-  query_scope "query.done" query_string ~count:count_snippets @@ fun () ->
-  let ctx, result_list = search_ctx ?semantics ?limit ?mask t query_string in
-  let results = Array.of_list result_list in
-  let snippet = snippet_or_degraded ?config ~bound ~deadline ~ctx t in
-  let n = Array.length results in
-  let domains = max 1 (min domains n) in
-  timed snippet_seconds "pipeline.snippet" (fun () ->
-      if domains <= 1 || n <= 1 then
-        notify_snippets t (Array.to_list (Array.map snippet results))
-      else begin
-        let out = Array.make n None in
-        let worker d () =
-          Trace.with_span ~args:[ ("worker", string_of_int d) ] "pipeline.worker"
-            (fun () ->
-              let i = ref d in
-              while !i < n do
-                out.(!i) <- Some (snippet results.(!i));
-                i := !i + domains
-              done)
-        in
-        (* spawned workers adopt the caller's span/rid so their spans
-           stitch under this query instead of surfacing as orphan roots *)
-        let ctx = Trace.capture () in
-        let spawned =
-          List.init (domains - 1) (fun d ->
-              Domain.spawn (fun () -> Trace.with_context ctx (worker (d + 1))))
-        in
-        worker 0 ();
-        List.iter Domain.join spawned;
-        notify_snippets t (Array.to_list out |> List.filter_map Fun.id)
-      end)

@@ -121,23 +121,6 @@ val run :
     {!Extract_search.Eval_ctx.make}; the live corpus passes the interval
     set that hides tombstoned members. *)
 
-val run_parallel :
-  ?semantics:Extract_search.Engine.semantics ->
-  ?config:Config.t ->
-  ?bound:int ->
-  ?limit:int ->
-  ?domains:int ->
-  ?deadline:Extract_util.Deadline.t ->
-  ?mask:(int * int) array ->
-  t ->
-  string ->
-  snippet_result list
-(** Like {!run}, with per-result snippet generation spread over [domains]
-    OCaml domains (default 4, clamped to the result count). The analyzed
-    database is immutable and shared; outputs are identical to {!run} and
-    in the same order. Worth it when many large results are snippeted at
-    once — see bench E19. *)
-
 (** {1 Stages}, for {!Corpus.query}, which ranks before it snippets *)
 
 val search_ctx :

@@ -120,39 +120,6 @@ let mem t x =
   let i = lower_bound t x in
   i < t.count && get t i = x
 
-let closest_in t ~lo ~hi =
-  let i = lower_bound t lo in
-  if i < t.count then begin
-    let v = get t i in
-    if v <= hi then Some v else None
-  end
-  else None
-
-let pred_of t x =
-  let i = lower_bound t x in
-  if i = 0 then None else Some (get t (i - 1))
-
-let succ_of t x =
-  let i = lower_bound t (x + 1) in
-  if i >= t.count then None else Some (get t i)
-
-let subtree_range doc t root =
-  let lo = lower_bound t root in
-  let hi = lower_bound t (Document.subtree_last doc root + 1) in
-  lo, hi
-
-let in_subtree doc t root =
-  let lo, hi = subtree_range doc t root in
-  let out = ref [] in
-  for i = hi - 1 downto lo do
-    out := get t i :: !out
-  done;
-  !out
-
-let count_in_subtree doc t root =
-  let lo, hi = subtree_range doc t root in
-  hi - lo
-
 (* ------------------------------------------------------------------ *)
 (* Codec embedding, for Snapshot's index section. *)
 

@@ -3,9 +3,10 @@
     A posting list — the strictly ascending array of node ids where a
     keyword occurs — packed as delta+varint blocks of
     {!Codec.block_size} entries with a skip table of per-block first
-    values. The skip table keeps {!Postings}-style subtree-interval
-    binary search alive on the compressed form: every point or range
-    probe binary-searches the skips and decodes at most one block.
+    values. Packing is a storage encoding: the query path decodes a whole
+    list with {!to_array} on each {!Inverted_index.lookup} and searches
+    the plain array. The point probes below binary-search the skips and
+    decode at most one block.
 
     Typical footprint is 1–2 bytes per posting against the 8 bytes of a
     plain [int array]; see DESIGN.md §15 and EXPERIMENTS.md E22. *)
@@ -33,29 +34,12 @@ val get : t -> int -> int
 (** [get t i] is the [i]th posting (decodes one block).
     @raise Invalid_argument out of bounds. *)
 
-(** {1 Search — mirrors {!Postings} on node ids} *)
+(** {1 Point probes — mirror {!Postings} on node ids} *)
 
 val lower_bound : t -> int -> int
 (** Smallest index [i] with [get t i >= x], or [length t]. *)
 
 val mem : t -> int -> bool
-
-val closest_in : t -> lo:int -> hi:int -> int option
-(** Smallest posting in [\[lo, hi\]], if any. *)
-
-val pred_of : t -> int -> int option
-(** Greatest posting [< x]. *)
-
-val succ_of : t -> int -> int option
-(** Smallest posting [> x]. *)
-
-val subtree_range : Document.t -> t -> int -> int * int
-(** [subtree_range doc t root] is the half-open index interval of
-    postings inside [root]'s subtree. *)
-
-val in_subtree : Document.t -> t -> int -> int list
-
-val count_in_subtree : Document.t -> t -> int -> int
 
 (** {1 Codec embedding} *)
 

@@ -219,6 +219,13 @@ let read_at ic ~offset ~length =
   seek_in ic offset;
   really_input_string ic length
 
+(* a section's bytes, checked against the digest recorded at pack time *)
+let read_checked ~path ic s =
+  let body = read_at ic ~offset:s.offset ~length:s.length in
+  if Digest.to_hex (Digest.string body) <> s.md5 then
+    raise (Codec.Corrupt (Printf.sprintf "%s: section %S checksum mismatch (damaged)" path s.name));
+  body
+
 let read_header ~path ic =
   let file_len = in_channel_length ic in
   if file_len = 0 then
@@ -316,7 +323,8 @@ let load path =
       and textoff_s = expect "textoff" ((n + 1) * 8) in
       let textblob_s = sec "textblob" and meta_s = sec "meta" and index_s = sec "index" in
       (* the bulk is mapped, not read: cold-start cost is the page table,
-         not the corpus *)
+         not the corpus; the small sections decoded into the heap are
+         checked against their digests first *)
       let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
       let doc =
         Fun.protect
@@ -328,10 +336,8 @@ let load path =
             let size = map_int fd ~offset:size_s.offset ~count:n in
             let text_offsets = map_int fd ~offset:textoff_s.offset ~count:(n + 1) in
             let text_blob = map_char fd ~offset:textblob_s.offset ~count:textblob_s.length in
-            let kinds = Bytes.of_string (read_at ic ~offset:kinds_s.offset ~length:kinds_s.length) in
-            let dtd_source, tag_names =
-              decode_meta (read_at ic ~offset:meta_s.offset ~length:meta_s.length)
-            in
+            let kinds = Bytes.of_string (read_checked ~path ic kinds_s) in
+            let dtd_source, tag_names = decode_meta (read_checked ~path ic meta_s) in
             Document.Flat.of_source
               {
                 Document.Flat.dtd_source;
@@ -347,8 +353,7 @@ let load path =
               })
       in
       let index =
-        decode_index ~doc ~fingerprint:h.fingerprint
-          (read_at ic ~offset:index_s.offset ~length:index_s.length)
+        decode_index ~doc ~fingerprint:h.fingerprint (read_checked ~path ic index_s)
       in
       Registry.incr maps_total;
       let mapped = (((4 * n) + (n + 1)) * 8) + textblob_s.length in
@@ -359,8 +364,7 @@ let load path =
 (* ------------------------------------------------------------------ *)
 (* Deep verification, for [extract check]: load never checksums the
    mapped bulk (that would re-read the corpus and defeat the O(1)
-   cold-start), so the section digests recorded at pack time are only
-   spent here. *)
+   cold-start), so those sections' digests are only spent here. *)
 
 type stats = {
   v_node_count : int;
@@ -376,15 +380,7 @@ let verify path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
       let h = read_header ~path ic in
-      List.iter
-        (fun s ->
-          let body = read_at ic ~offset:s.offset ~length:s.length in
-          let sum = Digest.to_hex (Digest.string body) in
-          if sum <> s.md5 then
-            raise
-              (Codec.Corrupt
-                 (Printf.sprintf "%s: section %S checksum mismatch (damaged)" path s.name)))
-        h.sections;
+      List.iter (fun s -> ignore (read_checked ~path ic s)) h.sections;
       (* pairing rule: the header fingerprint must be the fingerprint of
          the arena the sections actually materialize *)
       let doc, index = load path in

@@ -12,9 +12,11 @@
 
     Integrity story: the header records a per-section MD5 and the
     arena's {!Persist.fingerprint}. {!load} verifies structure (magic,
-    version, endianness probe, word size, section table, lengths) but
-    deliberately not the bulk digests — checksumming the corpus would
-    re-read it and defeat the O(1) start. [extract check] calls
+    version, endianness probe, word size, section table, lengths) and
+    the digests of the three sections it decodes into the heap ([kinds],
+    [meta], [index]), but deliberately not the mapped bulk digests —
+    checksumming the corpus would re-read it and defeat the O(1) start.
+    [extract check] calls
     {!verify}, which spends the recorded digests and re-derives the
     fingerprint. See DESIGN.md §15 for the layout diagram and v1→v2
     migration rules.
@@ -41,7 +43,8 @@ val load : string -> Document.t * Inverted_index.t
     (private, read-only mapping; the mapping outlives the fd). The index
     is returned packed — {!Inverted_index.is_packed}.
     @raise Codec.Corrupt on structural damage, foreign endianness or
-    word size, or index/arena fingerprint mismatch.
+    word size, a [kinds]/[meta]/[index] checksum mismatch (naming the
+    section), or index/arena fingerprint mismatch.
     @raise Codec.Truncated on an empty or short file (path and expected
     magic included). *)
 

@@ -8,8 +8,8 @@
 let test_clock : (unit -> float) option ref = ref None
 
 (* Every domain raises the shared floor with a CAS loop: the old
-   plain-ref version was a read/write data race once the server pool and
-   run_parallel started calling [now] from every domain. *)
+   plain-ref version was a read/write data race once the server's worker
+   domains started calling [now] concurrently. *)
 let monotonic_floor = Atomic.make neg_infinity
 
 let now () =

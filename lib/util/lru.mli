@@ -8,10 +8,8 @@
     {b Locking story: not thread-safe, by design.} Every operation —
     including a {!find} hit, which rewires the recency list — mutates
     unsynchronized state, so a bare cache must only ever be driven from
-    one thread. Single-threaded callers (the CLI verbs,
-    {!Extract_snippet.Pipeline.run_parallel} domains, which never touch a
-    cache — they share only the immutable analyzed database) use this
-    module directly. The observability counters recorded around cache
+    one thread. Single-threaded callers (the CLI verbs) use this module
+    directly. The observability counters recorded around cache
     operations take the {!Extract_obs.Registry} mutex themselves and need
     nothing from the cache.
 

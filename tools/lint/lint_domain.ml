@@ -1,10 +1,11 @@
 (* Domain-safety analyzer: the headline pass of extract-lint.
 
-   The server runs a pool of OCaml 5 domains (Demo_server), the pipeline
-   fans snippets out with Domain.spawn, and the load harness drives real
-   sockets from threads. Any top-level mutable state reachable from that
-   code is shared across domains, and the OCaml memory model makes
-   unguarded access a data race, not just a stale read.
+   The server runs a pool of OCaml 5 domains (Demo_server), the only
+   place a query runs on another domain; the runtime collector samples
+   from a thread, and the load harness drives real sockets from threads.
+   Any top-level mutable state reachable from that code is shared across
+   domains, and the OCaml memory model makes unguarded access a data
+   race, not just a stale read.
 
    The pass works in three layers:
 
