@@ -1,17 +1,21 @@
 module Document = Extract_store.Document
 module Pretty = Extract_util.Pretty
 
+(* [members] is sorted, ancestor-closed and starts at the root, so it is
+   contiguous exactly when it spans [root, last] without a gap. Every
+   [full] tree is; a match-paths tree usually is not. Membership is then
+   an interval test, or a binary search over [members]. *)
 type t = {
   doc : Document.t;
   root : Document.node;
   members : Document.node array; (* sorted, ancestor-closed, root included *)
-  member_set : (Document.node, unit) Hashtbl.t;
+  last : Document.node; (* the largest member *)
+  contiguous : bool; (* members = [root, last] *)
 }
 
 let of_sorted_members doc root members =
-  let member_set = Hashtbl.create (Array.length members) in
-  Array.iter (fun n -> Hashtbl.replace member_set n ()) members;
-  { doc; root; members; member_set }
+  let last = members.(Array.length members - 1) in
+  { doc; root; members; last; contiguous = last - root = Array.length members - 1 }
 
 let full doc root =
   let last = Document.subtree_last doc root in
@@ -49,7 +53,12 @@ let document t = t.doc
 
 let root t = t.root
 
-let mem t n = Hashtbl.mem t.member_set n
+let mem t n =
+  if t.contiguous then t.root <= n && n <= t.last
+  else begin
+    let i = Extract_store.Postings.lower_bound t.members n in
+    i < Array.length t.members && t.members.(i) = n
+  end
 
 let size t = Array.length t.members
 
@@ -76,16 +85,17 @@ let parent_in t n =
     | Some p when mem t p -> Some p
     | _ -> None
 
-(* The members all lie in [root, subtree_last root], so only the postings
-   in that interval can qualify: binary-search the range instead of
-   scanning the whole list (postings scale with the document, the range
-   with the result). *)
+(* The members all lie in [root, last], so only the postings in that
+   interval can qualify: binary-search the range instead of scanning the
+   whole list (postings scale with the document, the range with the
+   result). A contiguous tree keeps the whole range. *)
 let restrict_matches t postings =
-  let lo, hi = Extract_store.Postings.subtree_range t.doc postings t.root in
+  let lo = Extract_store.Postings.lower_bound postings t.root in
+  let hi = Extract_store.Postings.lower_bound postings (t.last + 1) in
   let out = ref [] in
   for i = hi - 1 downto lo do
     let n = postings.(i) in
-    if mem t n then out := n :: !out
+    if t.contiguous || mem t n then out := n :: !out
   done;
   !out
 

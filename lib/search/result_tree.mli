@@ -31,6 +31,8 @@ val document : t -> Document.t
 val root : t -> Document.node
 
 val mem : t -> Document.node -> bool
+(** An interval test when the members are contiguous (every [full]
+    tree), a binary search over {!members} otherwise. *)
 
 val size : t -> int
 (** Number of member nodes (elements and text). *)
@@ -58,8 +60,9 @@ val parent_in : t -> Document.node -> Document.node option
 
 val restrict_matches : t -> Document.node array -> Document.node list
 (** Posting-list entries that are members, in document order. The sorted
-    list is binary-searched to the root's subtree interval first, so the
-    cost follows the matches under the root, not the posting list. *)
+    list is binary-searched to the interval from the root to the last
+    member first, so the cost follows the matches under the root, not the
+    posting list; on a contiguous tree that slice is the answer. *)
 
 val text_of : t -> string
 (** All member text, document order, space-joined (for the text-snippet

@@ -13,39 +13,53 @@ let entity_instances kinds result =
       if Node_kind.is_entity kinds n then acc := n :: !acc);
   List.rev !acc
 
-let name_or_attribute_matches kinds result query node =
-  let doc = Result_tree.document result in
-  matches_name query (Document.tag_name doc node)
-  || List.exists
-       (fun c ->
-         Document.is_element doc c
-         && Node_kind.is_attribute kinds c
-         && matches_name query (Document.tag_name doc c))
-       (Result_tree.children result node)
+(* Whether a tag name matches depends only on the query and the tag, so
+   one call decides it once per distinct tag id: 0 = not yet decided,
+   1 = no, 2 = yes. *)
+let tag_matcher doc query =
+  let memo = Bytes.make (Extract_util.Interner.count (Document.tag_interner doc)) '\000' in
+  fun node ->
+    let tag = Document.tag_id doc node in
+    match Bytes.get memo tag with
+    | '\000' ->
+      let m = matches_name query (Document.tag_name doc node) in
+      Bytes.set memo tag (if m then '\002' else '\001');
+      m
+    | c -> c = '\002'
 
+let name_or_attribute_matches kinds result matches node =
+  let doc = Result_tree.document result in
+  matches node
+  ||
+  let found = ref false in
+  Document.iter_children doc node (fun c ->
+      if (not !found) && Result_tree.mem result c && Document.is_element doc c
+         && Node_kind.is_attribute kinds c && matches c
+      then found := true);
+  !found
+
+(* The result is ancestor-closed, so the walk from an instance up to the
+   root stays inside it. *)
 let highest_entities kinds result =
   let doc = Result_tree.document result in
-  entity_instances kinds result
-  |> List.filter (fun n ->
-         let rec up m =
-           match Document.parent doc m with
-           | None -> true
-           | Some p ->
-             if Result_tree.mem result p && Document.is_element doc p
-                && Node_kind.is_entity kinds p
-             then false
-             else up p
-         in
-         up n)
+  let root = Result_tree.root result in
+  let rec highest n =
+    n = root
+    ||
+    let p = Document.parent_exn doc n in
+    (not (Node_kind.is_entity kinds p)) && highest p
+  in
+  entity_instances kinds result |> List.filter highest
 
 let return_entities kinds result query =
-  let matching =
-    entity_instances kinds result
-    |> List.filter (name_or_attribute_matches kinds result query)
-  in
-  match matching with
+  let matches = tag_matcher (Result_tree.document result) query in
+  let matching = ref [] in
+  Result_tree.iter_elements result (fun n ->
+      if Node_kind.is_entity kinds n && name_or_attribute_matches kinds result matches n then
+        matching := n :: !matching);
+  match !matching with
   | [] -> highest_entities kinds result
-  | _ -> matching
+  | matching -> List.rev matching
 
 let supporting_entities kinds result query =
   let returns = return_entities kinds result query in

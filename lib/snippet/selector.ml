@@ -33,28 +33,28 @@ let greedy ?(skip_overflow = true) ~bound result ilist =
   let skipped = ref [] in
   let uncoverable = ref [] in
   let stopped = ref false in
-  List.iter
-    (fun (entry : Ilist.entry) ->
-      if Array.length entry.instances = 0 then uncoverable := entry :: !uncoverable
-      else if !stopped then skipped := entry :: !skipped
-      else begin
-        match cheapest snippet entry with
-        | None -> uncoverable := entry :: !uncoverable
-        | Some (instance, cost) ->
-          if Snippet_tree.edge_count snippet + cost <= bound then begin
-            let added = Snippet_tree.add snippet instance in
-            assert (List.length added = cost);
-            covered := { entry; instance; cost } :: !covered
-          end
-          else begin
-            skipped := entry :: !skipped;
-            (* strict-prefix ablation: a naive reading of §2.4 stops at the
-               first item that does not fit instead of trying cheaper,
-               lower-ranked ones *)
-            if not skip_overflow then stopped := true
-          end
-      end)
-    (Ilist.entries ilist);
+  for i = 0 to Ilist.length ilist - 1 do
+    let entry = Ilist.get ilist i in
+    if Array.length entry.Ilist.instances = 0 then uncoverable := entry :: !uncoverable
+    else if !stopped then skipped := entry :: !skipped
+    else begin
+      match cheapest snippet entry with
+      | None -> uncoverable := entry :: !uncoverable
+      | Some (instance, cost) ->
+        if Snippet_tree.edge_count snippet + cost <= bound then begin
+          let added = Snippet_tree.add snippet instance in
+          assert (List.length added = cost);
+          covered := { entry; instance; cost } :: !covered
+        end
+        else begin
+          skipped := entry :: !skipped;
+          (* strict-prefix ablation: a naive reading of §2.4 stops at the
+             first item that does not fit instead of trying cheaper,
+             lower-ranked ones *)
+          if not skip_overflow then stopped := true
+        end
+    end
+  done;
   {
     snippet;
     covered = List.rev !covered;

@@ -43,9 +43,19 @@ let missing_path t n =
   in
   up [] n
 
+(* [List.length (missing_path t n)], counted without building the path. *)
 let cost_of t n =
   check t n;
-  List.length (missing_path t n)
+  let doc = Result_tree.document t.result in
+  let rec up k n =
+    if Hashtbl.mem t.set n then k
+    else begin
+      match Document.parent doc n with
+      | Some p -> up (k + 1) p
+      | None -> k + 1
+    end
+  in
+  up 0 n
 
 let add t n =
   check t n;

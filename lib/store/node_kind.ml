@@ -75,7 +75,14 @@ let nearest_entity_ancestor t node =
   in
   up node
 
-let attribute_value t node = trim (Document.immediate_text (document t) node)
+(* The usual attribute has one text child: trim its string directly
+   ([String.trim] returns it uncopied when there is nothing to trim).
+   Every other shape concatenates its text children first. *)
+let attribute_value t node =
+  let doc = document t in
+  if Document.subtree_size doc node = 2 && not (Document.is_element doc (node + 1)) then
+    trim (Document.text doc (node + 1))
+  else trim (Document.immediate_text doc node)
 
 let string_of_kind = function
   | Entity -> "entity"

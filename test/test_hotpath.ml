@@ -149,6 +149,34 @@ let test_cache_matches_pipeline_run () =
   check bool "cached run = direct run" true (cached = direct)
 
 (* ------------------------------------------------------------------ *)
+(* Allocation budget of the result key *)
+
+(* "store city" names an entity tag and one of its attribute tags; its
+   first 25 results are 92-node stores. [Result_key.key_of_result]
+   allocated 4,243 minor words per result here while it matched tag
+   names per node, copied attribute values and hashed every member; it
+   allocates 567 now. The bound is about twice that. *)
+let key_words_per_result_bound = 1200.
+
+let test_result_key_allocation () =
+  let db = Lazy.force retail_db in
+  let q = "store city" in
+  let results = Pipeline.search ~limit:25 db q in
+  check int "25 results" 25 (List.length results);
+  let query = Query.of_string q in
+  let keys = Pipeline.keys db and kinds = Pipeline.kinds db in
+  let run () =
+    List.iter (fun r -> ignore (Extract_snippet.Result_key.key_of_result keys kinds r query)) results
+  in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let per_result = (Gc.minor_words () -. before) /. 25. in
+  if per_result > key_words_per_result_bound then
+    Alcotest.failf "key_of_result allocates %.0f minor words per result (bound %.0f)" per_result
+      key_words_per_result_bound
+
+(* ------------------------------------------------------------------ *)
 (* Completion index *)
 
 let test_complete_equals_naive_scan () =
@@ -196,6 +224,8 @@ let suites =
         Alcotest.test_case "clear resets" `Quick test_cache_clear_resets;
         Alcotest.test_case "cached = direct" `Quick test_cache_matches_pipeline_run;
       ] );
+    ( "hotpath.alloc",
+      [ Alcotest.test_case "result key words per result" `Quick test_result_key_allocation ] );
     ( "hotpath.complete",
       [
         Alcotest.test_case "complete = naive scan" `Quick test_complete_equals_naive_scan;
