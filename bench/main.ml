@@ -895,42 +895,54 @@ let e12_kernel =
          Pipeline.run_differentiated ~bound:e8_bound ~limit:1 db "apparel retailer"))
 
 (* ================================================================== *)
-(* E13 (Fig. H) — binary arena persistence vs XML parsing              *)
+(* E13 (Fig. H) — snapshot image load vs XML parsing                   *)
 
 let e13_sizes = if quick then [ 1000 ] else [ 1000; 4000; 16000 ]
+
+(* a snapshot image of [doc] in the temp dir, for the load experiments *)
+let temp_image name doc index =
+  let path = Filename.concat (Filename.get_temp_dir_name ()) name in
+  Extract_store.Snapshot.save path doc index;
+  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+  path
 
 let e13 () =
   let t =
     Table.create
-      [ "target clothes"; "xml bytes"; "arena bytes"; "parse XML"; "load arena"; "speedup" ]
+      [ "target clothes"; "xml bytes"; "image bytes"; "parse XML"; "map image";
+        "checked load"; "speedup (map)" ]
   in
   let repeat = if quick then 3 else 5 in
   List.iter
     (fun n ->
       let doc = Document.of_document (Datagen.Retail.scaled n) in
       let xml = Extract_xml.Printer.to_string (Document.to_xml doc 0) in
-      let arena = Extract_store.Persist.encode doc in
+      let image = temp_image "extract_bench_e13.snap" doc (Inverted_index.build doc) in
       let parse_ns = time_median ~repeat (fun () -> Document.load_string xml) in
-      let load_ns = time_median ~repeat (fun () -> Extract_store.Persist.decode arena) in
+      let map_ns = time_median ~repeat (fun () -> Extract_store.Snapshot.load image) in
+      let checked_ns = time_median ~repeat (fun () -> Extract_store.Snapshot.load_checked image) in
       Table.add_row t
         [
           string_of_int n;
           string_of_int (String.length xml);
-          string_of_int (String.length arena);
+          string_of_int (Extract_store.Snapshot.verify image).Extract_store.Snapshot.v_file_bytes;
           ns_to_string parse_ns;
-          ns_to_string load_ns;
-          Printf.sprintf "%.1fx" (parse_ns /. load_ns);
+          ns_to_string map_ns;
+          ns_to_string checked_ns;
+          Printf.sprintf "%.1fx" (parse_ns /. map_ns);
         ])
     e13_sizes;
-  Table.print ~title:"E13 (Fig. H) — binary arena load vs XML parse" t
+  Table.print ~title:"E13 (Fig. H) — snapshot image load vs XML parse" t
 
 let e13_kernel =
   Test.make ~name:"e13_arena_decode"
     (Staged.stage
-       (let arena =
-          lazy (Extract_store.Persist.encode (Document.of_document (Datagen.Retail.scaled 1000)))
+       (let image =
+          lazy
+            (let doc = Document.of_document (Datagen.Retail.scaled 1000) in
+             temp_image "extract_bench_e13k.snap" doc (Inverted_index.build doc))
         in
-        fun () -> Extract_store.Persist.decode (Lazy.force arena)))
+        fun () -> Extract_store.Snapshot.load_checked (Lazy.force image)))
 
 
 (* ================================================================== *)
@@ -1245,38 +1257,37 @@ let e18 () =
     (fun n ->
       let doc = Document.of_document (Datagen.Retail.scaled n) in
       let index = Inverted_index.build doc in
-      let encoded = Extract_store.Persist.encode_index index in
-      let rebuild_ns = time_median ~repeat (fun () -> Inverted_index.build doc) in
-      let load_ns =
-        time_median ~repeat (fun () -> Extract_store.Persist.decode_index ~doc encoded)
+      let image = temp_image "extract_bench_e18.snap" doc index in
+      let encoded =
+        List.assoc "index" (Extract_store.Snapshot.verify image).Extract_store.Snapshot.v_sections
       in
+      let rebuild_ns = time_median ~repeat (fun () -> Inverted_index.build doc) in
+      let load_ns = time_median ~repeat (fun () -> Extract_store.Snapshot.load image) in
       let postings = Inverted_index.postings_size index in
       Table.add_row t
         [
           string_of_int n;
           string_of_int postings;
-          string_of_int (String.length encoded);
-          Printf.sprintf "%.2f" (float_of_int (String.length encoded) /. float_of_int postings);
+          string_of_int encoded;
+          Printf.sprintf "%.2f" (float_of_int encoded /. float_of_int postings);
           ns_to_string rebuild_ns;
           ns_to_string load_ns;
           Printf.sprintf "%.1fx" (rebuild_ns /. load_ns);
         ])
     e18_sizes;
   Table.print
-    ~title:"E18 (Fig. L) — inverted index: rebuild from arena vs gap-encoded load"
+    ~title:"E18 (Fig. L) — inverted index: rebuild from arena vs snapshot image load"
     t
 
 let e18_kernel =
   Test.make ~name:"e18_index_decode"
     (Staged.stage
-       (let setup =
+       (let image =
           lazy
             (let doc = Document.of_document (Datagen.Retail.scaled 2000) in
-             doc, Extract_store.Persist.encode_index (Inverted_index.build doc))
+             temp_image "extract_bench_e18k.snap" doc (Inverted_index.build doc))
         in
-        fun () ->
-          let doc, encoded = Lazy.force setup in
-          Extract_store.Persist.decode_index ~doc encoded))
+        fun () -> Extract_store.Snapshot.load (Lazy.force image)))
 
 
 (* ================================================================== *)
@@ -1604,7 +1615,8 @@ let main () =
 
 (* ================================================================== *)
 (* E22 — index scale-out (EXPERIMENTS.md): block-compressed postings
-   vs the plain arrays, v1 bundle decode vs v2 snapshot mapping, and
+   vs the plain arrays, v1 bundle decode (the frozen {!V1_bundle}
+   reference) vs snapshot image mapping, and
    the sharded top-10 query's cost per shard count. [index] mode runs
    only this experiment, writes BENCH_index.json and applies the
    two-ratio floor gate CI pins via bench/index_floor.json. *)
@@ -1641,7 +1653,7 @@ let index_measure () =
   let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name in
   let v1 = tmp "extract_bench_e22.bundle" in
   let v2 = tmp "extract_bench_e22.snap" in
-  Pipeline.save v1 db;
+  V1_bundle.save v1 doc idx;
   Pipeline.save_snapshot v2 db;
   let file_size path =
     let ic = open_in_bin path in
@@ -1656,7 +1668,7 @@ let index_measure () =
   let v2_file_bytes = file_size v2 in
   (* medians: mapping is sub-millisecond, a single sample is all jitter *)
   let v1_load_ns =
-    time_median ~repeat:5 (fun () -> Extract_store.Persist.load_bundle v1)
+    time_median ~repeat:5 (fun () -> V1_bundle.load v1)
   in
   let v2_map_ns = time_median ~repeat:5 (fun () -> Extract_store.Snapshot.load v2) in
   let query = "store apparel" in

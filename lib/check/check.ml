@@ -332,60 +332,9 @@ let check_selection ?(degraded = false) (sel : Selector.selection) =
   close c
 
 (* ------------------------------------------------------------------ *)
-(* Persisted artifacts on disk                                         *)
+(* Snapshot images                                                     *)
 
-module Persist = Extract_store.Persist
 module Codec = Extract_store.Codec
-
-let sniff_file path =
-  let ic = open_in_bin path in
-  let head =
-    try really_input_string ic (min (in_channel_length ic) 16)
-    with e ->
-      close_in_noerr ic;
-      raise e
-  in
-  close_in ic;
-  Persist.sniff_magic head
-
-(* Deliberately reports rather than masks: [Corpus.load_file] rebuilds
-   from XML on corruption, but fsck's job is to say the artifact is bad —
-   including the quiet failure mode where both files are individually
-   intact yet the index was built from some other arena (fingerprint
-   mismatch). *)
-let check_pair ~arena ~index =
-  let c = collector "persist" in
-  let doc =
-    try
-      match sniff_file arena with
-      | Some m when m = Persist.magic -> Some (Persist.load arena)
-      | Some m when m = Persist.bundle_magic ->
-        report c "%s is a bundle, not a bare arena (its index travels inside it)" arena;
-        None
-      | Some _ | None -> Some (Document.load_file arena)
-    with
-    | Codec.Corrupt msg ->
-      report c "arena %s: %s" arena msg;
-      None
-    | Codec.Truncated msg ->
-      report c "arena %s: truncated: %s" arena msg;
-      None
-    | Extract_xml.Error.Parse_error (pos, msg) ->
-      report c "arena %s: %s" arena (Extract_xml.Error.to_string pos msg);
-      None
-  in
-  (match doc with
-  | None -> ()
-  | Some doc -> (
-    match Persist.load_index index ~doc with
-    | _ -> ()
-    | exception Codec.Corrupt msg -> report c "index %s: %s" index msg
-    | exception Codec.Truncated msg -> report c "index %s: truncated: %s" index msg));
-  close c
-
-(* ------------------------------------------------------------------ *)
-(* v2 mmap snapshots                                                   *)
-
 module Snapshot = Extract_store.Snapshot
 
 (* The deep pass {!Snapshot.load} deliberately skips: spend every

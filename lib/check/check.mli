@@ -72,18 +72,8 @@ val check_selection : ?degraded:bool -> Extract_snippet.Selector.selection -> is
     deadline-expired {!Pipeline.snippet_result}) the cost-sum identity is
     skipped: a baseline snippet's edges are bought by no covered item. *)
 
-val check_pair : arena:string -> index:string -> issue list
-(** Validate a persisted arena/index pair on disk (area ["persist"]):
-    each file's seal (magic, version, checksum) and the index's recorded
-    arena fingerprint against the arena actually given — the quiet
-    failure mode where both files are individually intact but the index
-    was built from a different arena. [arena] may also be an XML source
-    file or (reported as an issue) a bundle. Unlike
-    {!Extract_snippet.Corpus.load_file} this reports corruption instead
-    of rebuilding around it — fsck's job is to say the artifact is bad. *)
-
 val check_snapshot : string -> issue list
-(** fsck for a v2 mmap snapshot (area ["snapshot"]): the deep pass
+(** fsck for a snapshot image (area ["snapshot"]): the deep pass
     {!Extract_store.Snapshot.load} deliberately skips — every recorded
     section digest is spent and the arena fingerprint re-derived
     ({!Extract_store.Snapshot.verify}) — followed by

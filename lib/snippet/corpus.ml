@@ -19,31 +19,12 @@ let find t name = List.assoc_opt name t.dbs
 let size t = List.length t.dbs
 
 (* ------------------------------------------------------------------ *)
-(* Loading: accept an XML file, a binary arena, or a bundle written by
-   [extract save], dispatching on the leading magic. A corrupt persisted
-   artifact is not fatal when its XML source is still around: warn and
-   rebuild from the source instead — the artifact is only ever a cache of
-   the XML. *)
+(* Loading: accept an XML file or a snapshot image written by [extract
+   pack], dispatching on the leading magic. A corrupt or outdated image
+   is not fatal when its XML source is still around: warn and rebuild
+   from the source instead — the image is only ever a cache of the XML. *)
 
-let sniff path =
-  let ic = open_in_bin path in
-  let head =
-    try really_input_string ic (min (in_channel_length ic) 16)
-    with e ->
-      close_in_noerr ic;
-      raise e
-  in
-  close_in ic;
-  Extract_store.Persist.sniff_magic head
-
-let load_artifact path magic =
-  if magic = Extract_store.Persist.bundle_magic then Some (Pipeline.load path)
-  else if magic = Extract_store.Persist.magic then
-    Some (Pipeline.build (Extract_store.Persist.load path))
-  else if magic = Extract_store.Snapshot.magic then Some (Pipeline.load_snapshot path)
-  else None
-
-(* candidate XML sources for a corrupt artifact: `foo.bundle` → `foo.xml`,
+(* candidate XML sources for a corrupt image: `foo.snap` → `foo.xml`,
    then bare `foo` *)
 let xml_siblings path =
   let base = Filename.remove_extension path in
@@ -58,15 +39,13 @@ let load_file ?(on_warning = fun _ -> ()) path =
       Pipeline.of_file source
     | [] -> raise original
   in
-  match sniff path with
-  | None -> Pipeline.of_file path
-  | Some magic -> (
-    match load_artifact path magic with
-    | None -> Pipeline.of_file path
-    | Some db -> db
+  if not (Extract_store.Snapshot.is_image path) then Pipeline.of_file path
+  else
+    match Pipeline.load_snapshot path with
+    | db -> db
     | exception (Extract_store.Codec.Corrupt reason as e) -> rebuild_or_reraise reason e
     | exception (Extract_store.Codec.Truncated reason as e) ->
-      rebuild_or_reraise ("truncated: " ^ reason) e)
+      rebuild_or_reraise ("truncated: " ^ reason) e
 
 (* ------------------------------------------------------------------ *)
 (* The segment query: rank every answer of every segment, then snippet

@@ -64,16 +64,15 @@ val find : t -> string -> Pipeline.t option
 val size : t -> int
 
 val load_file : ?on_warning:(string -> unit) -> string -> Pipeline.t
-(** Load one database from [path], whatever it holds: a bundle written by
-    [extract save], a v2 mmap snapshot written by [extract pack], a bare
-    binary arena, or XML (dispatch on the leading magic; anything
-    unrecognized is parsed as XML). A persisted artifact
-    is only a cache of its XML source, so a corrupt one
-    ({!Extract_store.Codec.Corrupt}: bad checksum, truncation, injected
-    fault) is not fatal when a sibling XML source ([foo.xml] or [foo] next
-    to [foo.bundle]) still exists — [on_warning] is told and the database
-    is rebuilt from the source. With no sibling to rebuild from, the
-    original [Corrupt] is re-raised. *)
+(** Load one database from [path], whatever it holds: a snapshot image
+    written by [extract pack], or XML ({!Extract_store.Snapshot.is_image}
+    dispatches on the leading magic; anything else is parsed as XML). An
+    image is only a cache of its XML source, so a corrupt or outdated one
+    ({!Extract_store.Codec.Corrupt}: bad checksum, old format version,
+    truncation, injected fault) is not fatal when a sibling XML source
+    ([foo.xml] or [foo] next to [foo.snap]) still exists — [on_warning]
+    is told and the database is rebuilt from the source. With no sibling
+    to rebuild from, the original exception is re-raised. *)
 
 val run :
   ?semantics:Extract_search.Engine.semantics ->

@@ -150,12 +150,6 @@ let of_parts doc index =
       let keys = Key_miner.mine kinds in
       notify_built { id = Atomic.fetch_and_add next_id 1; doc; guide; kinds; keys; index })
 
-let save path t = Extract_store.Persist.save_bundle path t.doc t.index
-
-let load path =
-  let doc, index = Extract_store.Persist.load_bundle path in
-  of_parts doc index
-
 let save_snapshot path t = Extract_store.Snapshot.save path t.doc t.index
 
 let load_snapshot path =

@@ -18,28 +18,21 @@ val of_xml_string : string -> t
 
 val of_file : string -> t
 
-val save : string -> t -> unit
-(** Persist the arena and the inverted index as one bundle
-    ({!Extract_store.Persist.save_bundle}); classification and keys are
-    rebuilt on {!load} (they are cheap and fully derived). *)
-
-val load : string -> t
-(** Load a bundle written by {!save}.
-    @raise Extract_store.Codec.Corrupt on malformed input. *)
-
 val of_parts : Document.t -> Extract_store.Inverted_index.t -> t
-(** Analyze an arena that already has its index (what {!load} does after
-    decoding, and how {!Live_corpus} wraps the live store's segments):
+(** Analyze an arena that already has its index (what {!load_snapshot}
+    does after mapping, and how {!Live_corpus} wraps the live store's segments):
     classification and keys are derived, the given index is reused. *)
 
 val save_snapshot : string -> t -> unit
-(** Persist as a v2 mmap snapshot ({!Extract_store.Snapshot.save}) —
-    [extract pack]'s format. Unlike {!save}, {!load_snapshot} maps the
-    arena instead of decoding it, so cold-start is O(1) in the corpus. *)
+(** Persist the arena and the inverted index as a snapshot image
+    ({!Extract_store.Snapshot.save}) — [extract pack]'s format.
+    {!load_snapshot} maps the arena instead of decoding it, so
+    cold-start is O(1) in the corpus; classification and keys are
+    rebuilt (they are cheap and fully derived). *)
 
 val load_snapshot : string -> t
-(** Map a snapshot written by {!save_snapshot}; the cheap analysis is
-    re-derived like {!load}.
+(** Map a snapshot written by {!save_snapshot} and re-derive the cheap
+    analysis.
     @raise Extract_store.Codec.Corrupt on structural damage. *)
 
 val id : t -> int

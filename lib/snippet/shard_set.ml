@@ -209,11 +209,9 @@ let save_dir dir t =
         (Filename.concat dir (shard_file i))
         (Pipeline.document s.db) (Pipeline.index s.db))
     t.shards;
-  let sealed = Envelope.seal ~magic:manifest_magic (Codec.contents w) in
-  let path = Filename.concat dir manifest_name in
-  let tmp = path ^ ".tmp" in
-  Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc sealed);
-  Sys.rename tmp path
+  Extract_store.Durable.replace_atomic
+    ~path:(Filename.concat dir manifest_name)
+    (Envelope.seal ~magic:manifest_magic (Codec.contents w))
 
 let load_dir dir =
   let path = Filename.concat dir manifest_name in

@@ -87,9 +87,11 @@ val run :
 (** {1 Persistence} *)
 
 val save_dir : string -> t -> unit
-(** Write [dir/shards.manifest] plus one [dir/shard-NN.snap] v2 snapshot
-    per shard. Creates [dir] if missing; the manifest is written last
-    (temp + rename), so a complete manifest implies complete shards. *)
+(** Write [dir/shards.manifest] plus one [dir/shard-NN.snap] snapshot
+    image per shard. Creates [dir] if missing. Every file goes through
+    {!Extract_store.Durable.replace_atomic} (temp, fsync, rename,
+    directory fsync) and the manifest is written last, so a manifest
+    that survives a crash names only shard images already on disk. *)
 
 val load_dir : string -> t
 (** Load a directory written by {!save_dir}: maps every shard snapshot

@@ -53,9 +53,24 @@ let read_varint r =
     if shift > 62 then raise (Corrupt "varint too long");
     let b = byte r in
     let acc = acc lor ((b land 0x7F) lsl shift) in
-    if b land 0x80 = 0 then acc else loop (shift + 7) acc
+    if b land 0x80 <> 0 then loop (shift + 7) acc
+    else if acc < 0 then
+      (* a ninth byte reaches bit 62, OCaml's sign bit: a value above
+         max_int would wrap negative *)
+      raise (Corrupt "varint exceeds max_int")
+    else acc
   in
   loop 0 0
+
+let remaining r = String.length r.data - r.pos
+
+(* every entry of a counted sequence takes at least one byte, so a count
+   above the bytes left is damage — caught before anything is sized by it *)
+let read_count r =
+  let n = read_varint r in
+  if n > remaining r then
+    raise (Corrupt (Printf.sprintf "count %d exceeds the %d bytes left" n (remaining r)));
+  n
 
 let read_int r =
   let z = read_varint r in
@@ -63,7 +78,7 @@ let read_int r =
 
 let read_string r =
   let n = read_varint r in
-  if r.pos + n > String.length r.data then raise (Truncated "string overruns input");
+  if n > remaining r then raise (Truncated "string overruns input");
   let s = String.sub r.data r.pos n in
   r.pos <- r.pos + n;
   s
@@ -71,7 +86,7 @@ let read_string r =
 let read_bytes_raw r = Bytes.of_string (read_string r)
 
 let read_fixed64 r =
-  if r.pos + 8 > String.length r.data then raise (Truncated "fixed64 overruns input");
+  if remaining r < 8 then raise (Truncated "fixed64 overruns input");
   let v = String.get_int64_ne r.data r.pos in
   r.pos <- r.pos + 8;
   v

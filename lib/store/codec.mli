@@ -1,4 +1,4 @@
-(** Binary encoding primitives for {!Persist}.
+(** Binary encoding primitives for {!Snapshot}, {!Journal} and {!Persist.Envelope}.
 
     A deliberately boring format: unsigned LEB128 varints for integers
     (with a zig-zag variant for possibly-negative values) and
@@ -33,6 +33,13 @@ val reader : string -> reader
 (** Reader positioned at the start of the buffer. *)
 
 val read_varint : reader -> int
+(** @raise Corrupt on a value outside [\[0, max_int\]] or an overlong
+    encoding. *)
+
+val read_count : reader -> int
+(** A varint that counts the entries following it, each at least one
+    byte long. @raise Corrupt when it exceeds the bytes left, so a
+    damaged count never sizes an allocation. *)
 
 val read_int : reader -> int
 
@@ -76,5 +83,5 @@ exception Truncated of string
     the signature of an interrupted write rather than bit rot. Recovery
     code ({!Journal}) treats truncation of the {e final} record of a
     journal as benign (a torn tail to discard), while {!Corrupt} mid-file
-    is always fatal; whole-file readers ({!Persist}) treat both as a bad
+    is always fatal; whole-file readers ({!Snapshot}, the shard manifest) treat both as a bad
     artifact. *)

@@ -1,5 +1,5 @@
-(* Durability primitives shared by the journal and the live store's
-   snapshot generations. Everything here is about making a write either
+(* Durability primitives shared by the journal, snapshot images and the
+   shard manifest. Everything here is about making a write either
    fully visible after a crash or not visible at all:
 
    - data reaches the disk before we depend on it (fsync the file);
@@ -32,8 +32,9 @@ let write_file_fsync path data =
       write_all fd data;
       Unix.fsync fd)
 
-let replace_atomic ~path data =
+let replace_atomic ?(before_rename = ignore) ~path data =
   let tmp = path ^ ".tmp" in
   write_file_fsync tmp data;
+  before_rename ();
   Unix.rename tmp path;
   fsync_dir (Filename.dirname path)

@@ -1,6 +1,6 @@
 (** Crash-safe file IO primitives.
 
-    {!Journal} and the {!Live} store's snapshot generations share one
+    {!Journal}, {!Snapshot} images and the shard manifest share one
     durability story, built from three facts about POSIX filesystems:
     data is only guaranteed on disk after [fsync] of the file; a rename
     is only guaranteed to survive a crash after [fsync] of the containing
@@ -23,9 +23,9 @@ val write_file_fsync : string -> string -> unit
     {e name} is durable only after the containing directory is synced
     (see {!replace_atomic}). *)
 
-val replace_atomic : path:string -> string -> unit
-(** Write [data] to [path ^ ".tmp"] (fsync'd), rename it over [path],
-    and fsync the directory. A crash at any point leaves either the old
+val replace_atomic : ?before_rename:(unit -> unit) -> path:string -> string -> unit
+(** Write [data] to [path ^ ".tmp"] (fsync'd), call [before_rename] (a
+    fault point's seat), rename it over [path], and fsync the directory. A crash at any point leaves either the old
     complete file or the new complete file at [path] — never a torn
     mixture. The temp sibling may survive a crash; recovery deletes
     strays. *)

@@ -20,8 +20,14 @@
     internal mutex. One process per directory — there is no inter-process
     lock file.
 
-    Fault points: [snapshot.read] (raises [Codec.Corrupt], exercising
-    generation fallback), [snapshot.write], [snapshot.rename],
+    Each generation is a {!Snapshot} image whose [members] section holds
+    its number and member table; recovery checks every byte of it
+    ({!Snapshot.load_checked}) before adopting it, then copies the base
+    into the heap with plain posting lists, as {!compact} leaves it.
+
+    Fault points: [snapshot.map] (raises [Codec.Corrupt], exercising
+    generation fallback), [snapshot.write], [snapshot.rename] (in
+    {!Snapshot.save}),
     [live.apply] (after the journal fsync, before the in-memory apply),
     [live.prune], plus the {!Journal} points. *)
 

@@ -142,7 +142,7 @@ let encode w t =
 
 let decode r =
   let count = Codec.read_varint r in
-  let nb = Codec.read_varint r in
+  let nb = Codec.read_count r in
   if nb <> (count + block - 1) / block then
     raise (Codec.Corrupt (Printf.sprintf "packed postings: %d blocks for %d entries" nb count));
   let prev = ref 0 in

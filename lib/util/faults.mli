@@ -2,11 +2,11 @@
 
     Long-running services meet their failure paths in production first
     unless those paths can be forced in tests. This module names the
-    places where the system deliberately tolerates failure — persisted
-    artifact IO, index loading, each snippet pipeline stage — as {e fault
+    places where the system deliberately tolerates failure — image and
+    journal IO, each snippet pipeline stage — as {e fault
     points}, and arms them from a single environment variable:
 
-    {v EXTRACT_FAULTS="persist.read:fail,pipeline.snippet:nth=2" v}
+    {v EXTRACT_FAULTS="snapshot.map:fail,pipeline.snippet:nth=2" v}
 
     Each entry is [point:spec] where spec is one of
 
@@ -23,11 +23,11 @@
       mid-update at a named point deterministically.
 
     Unarmed, a fault point costs a single flag read. Consumers either call
-    {!hit} (raise {!Injected} at the point — used where the surrounding
-    code already translates exceptions, e.g. {!Extract_store.Persist}
-    turns it into [Codec.Corrupt] so the injected failure exercises
-    exactly the corrupt-artifact path) or branch on {!should_fail} (used
-    by the pipeline to degrade a snippet in place). Counters record how
+    {!hit} (raise {!Injected} at the point, e.g. the image and journal
+    writes) or branch on {!should_fail} (used by the image load to fail
+    as [Codec.Corrupt], so the injected failure exercises exactly the
+    corrupt-artifact path, and by the pipeline to degrade a snippet in
+    place). Counters record how
     often each point was passed and how often it fired, so tests can
     prove a degradation path actually ran.
 

@@ -257,64 +257,53 @@ let test_degraded_pipeline_run_passes_observer () =
         (results <> [] && List.for_all (fun r -> r.Pipeline.degraded) results))
 
 (* ------------------------------------------------------------------ *)
-(* Persisted pair validation (check --index) *)
+(* Snapshot images: does the index travel with its own arena? *)
 
-let write_file path data =
-  let oc = open_out_bin path in
-  output_string oc data;
-  close_out oc
-
-let in_temp_pair f =
-  let arena = Filename.temp_file "extract_arena" ".bin" in
-  let index = Filename.temp_file "extract_index" ".idx" in
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.remove arena;
-      Sys.remove index)
-    (fun () -> f arena index)
+let in_temp_image f =
+  let path = Filename.temp_file "extract_check" ".snap" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
 let test_check_pair_matching () =
   let db = retail_db () in
-  in_temp_pair (fun arena index ->
-      Extract_store.Persist.save arena (Pipeline.document db);
-      Extract_store.Persist.save_index index (Pipeline.index db);
-      check_clean "matching pair" (Check.check_pair ~arena ~index))
+  in_temp_image (fun path ->
+      Extract_store.Snapshot.save path (Pipeline.document db) (Pipeline.index db);
+      check_clean "matching arena and index" (Check.check_snapshot path))
 
 let test_check_pair_mismatched () =
+  (* every seal is intact, but the index was built from another arena *)
   let db_a = retail_db () in
   let db_b =
     Pipeline.build (Document.of_document (Datagen.Movies.generate Datagen.Movies.default))
   in
-  in_temp_pair (fun arena index ->
-      Extract_store.Persist.save arena (Pipeline.document db_a);
-      Extract_store.Persist.save_index index (Pipeline.index db_b);
-      let issues = Check.check_pair ~arena ~index in
-      check_flagged "mismatched pair flagged" issues;
-      check bool "mentions fingerprint" true (has_issue_about "fingerprint" issues))
+  in_temp_image (fun path ->
+      Extract_store.Snapshot.save path (Pipeline.document db_a) (Pipeline.index db_b);
+      check_flagged "mismatched arena and index flagged" (Check.check_snapshot path))
 
 let test_check_pair_corrupt_index () =
   let db = retail_db () in
-  in_temp_pair (fun arena index ->
-      Extract_store.Persist.save arena (Pipeline.document db);
-      Extract_store.Persist.save_index index (Pipeline.index db);
-      let ic = open_in_bin index in
+  in_temp_image (fun path ->
+      Extract_store.Snapshot.save path (Pipeline.document db) (Pipeline.index db);
+      (* sections follow the 4096-byte header page, each page-aligned *)
+      let rec locate off = function
+        | [] -> Alcotest.fail "no index section"
+        | ("index", _) :: _ -> off
+        | (_, len) :: rest -> locate ((off + len + 4095) / 4096 * 4096) rest
+      in
+      let offset =
+        locate 4096 (Extract_store.Snapshot.verify path).Extract_store.Snapshot.v_sections
+      in
+      let ic = open_in_bin path in
       let data = really_input_string ic (in_channel_length ic) in
       close_in ic;
       let bytes = Bytes.of_string data in
-      let pos = Bytes.length bytes - 2 in
+      let pos = offset + 40 in
       Bytes.set bytes pos (Char.chr (Char.code (Bytes.get bytes pos) lxor 0xff));
-      write_file index (Bytes.to_string bytes);
-      check_flagged "corrupt index flagged" (Check.check_pair ~arena ~index))
-
-let test_check_pair_xml_arena () =
-  (* the arena side may be plain XML: it is parsed, fingerprinted, and
-     still compared against the index *)
-  let db = retail_db () in
-  in_temp_pair (fun arena index ->
-      write_file arena "<a><b>one two</b></a>";
-      Extract_store.Persist.save_index index (Pipeline.index db);
-      let issues = Check.check_pair ~arena ~index in
-      check_flagged "xml arena vs foreign index flagged" issues)
+      let oc = open_out_bin path in
+      output_bytes oc bytes;
+      close_out oc;
+      let issues = Check.check_snapshot path in
+      check_flagged "corrupt index flagged" issues;
+      check bool "names the index section" true (has_issue_about "index" issues))
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline observer (the EXTRACT_CHECK seam) *)
@@ -375,7 +364,6 @@ let suites =
         Alcotest.test_case "matching pair" `Quick test_check_pair_matching;
         Alcotest.test_case "mismatched pair" `Quick test_check_pair_mismatched;
         Alcotest.test_case "corrupt index" `Quick test_check_pair_corrupt_index;
-        Alcotest.test_case "xml arena" `Quick test_check_pair_xml_arena;
       ] );
     ( "check.all",
       [

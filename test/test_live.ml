@@ -3,7 +3,7 @@
    crash windows, and envelope damage edge cases. *)
 
 module Codec = Extract_store.Codec
-module Persist = Extract_store.Persist
+module Snapshot = Extract_store.Snapshot
 module Document = Extract_store.Document
 module Inverted_index = Extract_store.Inverted_index
 module Journal = Extract_store.Journal
@@ -204,33 +204,47 @@ let test_journal_replay_helpers () =
 (* Envelope damage edge cases *)
 
 let test_envelope_zero_length_file () =
-  let path = Filename.temp_file "extract_live" ".arena" in
+  let path = Filename.temp_file "extract_live" ".snap" in
   write_file path "";
   check bool "truncated" true
-    (match Persist.load path with
+    (match Snapshot.load_checked path with
     | _ -> false
     | exception Codec.Truncated _ -> true)
 
 let test_envelope_magic_only () =
-  let path = Filename.temp_file "extract_live" ".arena" in
+  let path = Filename.temp_file "extract_live" ".snap" in
   let w = Codec.writer () in
-  Codec.write_string w Persist.magic;
+  Codec.write_string w Snapshot.magic;
   write_file path (Codec.contents w);
   check bool "truncated" true
-    (match Persist.load path with
+    (match Snapshot.load_checked path with
     | _ -> false
     | exception Codec.Truncated _ -> true)
 
+(* A generation whose every section seals correctly, but whose index
+   section was recorded against another arena: the last line of defence
+   against mixed-up sections. *)
 let test_envelope_fingerprint_mismatch_with_valid_seals () =
-  (* both artifacts seal correctly; only the cross-file fingerprint
-     disagrees — the last line of defence against mixed-up pairs *)
-  let doc1 = Document.load_string doc_a in
-  let doc2 = Document.load_string doc_b in
-  let encoded = Persist.encode_index (Inverted_index.build doc1) in
-  check bool "own doc accepted" true
-    (match Persist.decode_index ~doc:doc1 encoded with _ -> true);
-  check bool "foreign doc rejected" true
-    (match Persist.decode_index ~doc:doc2 encoded with
+  let dir = temp_dir () in
+  let lc = Live_corpus.open_dir dir in
+  Live_corpus.add lc ~name:"a.xml" ~xml:doc_a;
+  ignore (Live_corpus.compact lc);
+  Live_corpus.close lc;
+  let path = Live.snapshot_path dir 1 in
+  let foreign_index =
+    let d = Document.load_string doc_b in
+    let found = ref "" in
+    ignore
+      (Snapshot.Internal.reseal (Snapshot.encode d (Inverted_index.build d)) (fun name body ->
+           if name = "index" then found := body;
+           body));
+    !found
+  in
+  write_file path
+    (Snapshot.Internal.reseal (read_file path) (fun name body ->
+         if name = "index" then foreign_index else body));
+  check bool "foreign index rejected" true
+    (match Live.open_dir ~read_only:true dir with
     | _ -> false
     | exception Codec.Corrupt reason ->
       (* the message should blame the pairing, not the bytes *)
@@ -516,6 +530,129 @@ let test_live_read_only_store_rejects_updates () =
   Live_corpus.close lc
 
 (* ------------------------------------------------------------------ *)
+(* Generation images: a flipped byte anywhere is caught *)
+
+(* one byte inside each section, one in the header page and one in the
+   padding after the last non-empty section *)
+let damage_points path =
+  let sections = (Snapshot.verify path).Snapshot.v_sections in
+  let _, points =
+    List.fold_left
+      (fun (off, acc) (name, len) ->
+        let next = (off + len + 4095) / 4096 * 4096 in
+        let acc = if len > 0 then (name, off + (len / 2)) :: acc else acc in
+        let acc = if next > off + len then ("padding after " ^ name, off + len) :: acc else acc in
+        next, acc)
+      (4096, [ "header", 30 ]) sections
+  in
+  List.rev points
+
+let compacted_store () =
+  let dir = temp_dir () in
+  let lc = Live_corpus.open_dir dir in
+  Live_corpus.add lc ~name:"a.xml" ~xml:doc_a;
+  Live_corpus.add lc ~name:"c.xml" ~xml:doc_c;
+  ignore (Live_corpus.compact lc);
+  Live_corpus.close lc;
+  dir
+
+let test_live_flip_in_only_generation_is_fatal () =
+  let dir = compacted_store () in
+  let path = Live.snapshot_path dir 1 in
+  let pristine = read_file path in
+  let points = damage_points path in
+  check bool "every section has a point" true (List.length points >= 10);
+  List.iter
+    (fun (what, pos) ->
+      flip_byte path pos;
+      check bool ("flip in " ^ what) true
+        (match Live.open_dir ~read_only:true dir with
+        | _ -> false
+        | exception Codec.Corrupt _ -> true);
+      write_file path pristine)
+    points;
+  check string_list "pristine image still opens" [ "a.xml"; "c.xml" ]
+    (Live.member_names (Live.view (Live.open_dir ~read_only:true dir)))
+
+let test_live_flip_falls_back_to_older_generation () =
+  let dir = compacted_store () in
+  (* a newer generation that never reached the journal's checkpoint:
+     damaged anywhere, recovery must warn and fall back to generation 1 *)
+  let view = Live.view (Live.open_dir ~read_only:true dir) in
+  let newer = Live.snapshot_path dir 2 in
+  Snapshot.save
+    ~generation:{ Snapshot.number = 2; members = view.Live.members }
+    newer view.Live.doc view.Live.index;
+  let pristine = read_file newer in
+  check int "the undamaged newer generation is adopted" 2
+    (Live.view (Live.open_dir ~read_only:true dir)).Live.generation;
+  List.iter
+    (fun (what, pos) ->
+      flip_byte newer pos;
+      let warnings = ref [] in
+      let store =
+        Live.open_dir ~read_only:true ~on_warning:(fun w -> warnings := w :: !warnings) dir
+      in
+      check int ("fell back after a flip in " ^ what) 1 (Live.view store).Live.generation;
+      check bool ("fallback reported for " ^ what) true (!warnings <> []);
+      write_file newer pristine)
+    (damage_points newer)
+
+(* In-memory vs on-disk: a store reopened from its generation image
+   (plus journal replay) serves the same pages as the view it was
+   closed with. *)
+let retail_member seed =
+  Extract_xml.Printer.document_to_string ~indent:None
+    (Extract_datagen.Retail.generate
+       {
+         Extract_datagen.Retail.default with
+         Extract_datagen.Retail.seed;
+         retailers = 1;
+         stores_per_retailer = 3;
+         clothes_per_store = 4;
+         with_dtd = false;
+       })
+
+let page_digests lc queries =
+  List.map
+    (fun q ->
+      let hits = Live_corpus.run ~bound:8 ~limit:10 lc q in
+      Digest.to_hex
+        (Digest.string
+           (String.concat "|" (List.map (fun (h : Live_corpus.hit) -> h.Live_corpus.source) hits)
+           ^ Html_view.result_page ~query:q ~bound:8
+               (List.map (fun (h : Live_corpus.hit) -> h.Live_corpus.result) hits))))
+    queries
+
+let test_live_reopen_serves_identical_pages () =
+  let members = List.map (fun seed -> Printf.sprintf "r%d.xml" seed, retail_member seed) [ 1; 2; 3 ] in
+  let queries =
+    List.concat_map
+      (fun (_, xml) ->
+        Extract_datagen.Workload.generate
+          { Extract_datagen.Workload.default with Extract_datagen.Workload.queries = 8 }
+          (Pipeline.kinds (Pipeline.of_xml_string xml)))
+      members
+    @ [ "store"; "retailer"; "apparel retailer" ]
+  in
+  let dir = temp_dir () in
+  let lc = Live_corpus.open_dir dir in
+  List.iter (fun (name, xml) -> Live_corpus.add lc ~name ~xml) members;
+  ignore (Live_corpus.compact lc);
+  let compacted = page_digests lc queries in
+  Live_corpus.close lc;
+  let lc = Live_corpus.open_dir dir in
+  check string_list "base reopened from its image" compacted (page_digests lc queries);
+  (* overlay on the mapped base: a tombstone and a delta *)
+  ignore (Live_corpus.remove lc "r2.xml");
+  Live_corpus.add lc ~name:"r4.xml" ~xml:(retail_member 4);
+  let overlaid = page_digests lc queries in
+  Live_corpus.close lc;
+  let lc = Live_corpus.open_dir dir in
+  check string_list "overlay replayed on the image" overlaid (page_digests lc queries);
+  Live_corpus.close lc
+
+(* ------------------------------------------------------------------ *)
 (* Visibility mask *)
 
 let test_mask_filters_postings () =
@@ -605,6 +742,12 @@ let suites =
         Alcotest.test_case "all snapshots corrupt is fatal" `Quick
           test_live_all_snapshots_corrupt_is_fatal;
         Alcotest.test_case "rejects bad input" `Quick test_live_rejects_bad_input;
+        Alcotest.test_case "flip in the only generation is fatal" `Quick
+          test_live_flip_in_only_generation_is_fatal;
+        Alcotest.test_case "flip falls back to the older generation" `Quick
+          test_live_flip_falls_back_to_older_generation;
+        Alcotest.test_case "reopen serves identical pages" `Quick
+          test_live_reopen_serves_identical_pages;
         Alcotest.test_case "read-only rejects updates" `Quick
           test_live_read_only_store_rejects_updates;
       ] );

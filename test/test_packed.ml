@@ -8,7 +8,6 @@ module Codec = Extract_store.Codec
 module Document = Extract_store.Document
 module Inverted_index = Extract_store.Inverted_index
 module Packed_postings = Extract_store.Packed_postings
-module Persist = Extract_store.Persist
 module Postings = Extract_store.Postings
 module Snapshot = Extract_store.Snapshot
 module Engine = Extract_search.Engine
@@ -241,7 +240,7 @@ let test_snapshot_roundtrip () =
   Snapshot.save path doc idx;
   let doc', idx' = Snapshot.load path in
   check bool "mapped index is packed" true (Inverted_index.is_packed idx');
-  check string "fingerprint survives" (Persist.fingerprint doc) (Persist.fingerprint doc');
+  check string "fingerprint survives" (Snapshot.fingerprint doc) (Snapshot.fingerprint doc');
   check int "node count" (Document.node_count doc) (Document.node_count doc');
   check int "element count" (Document.element_count doc) (Document.element_count doc');
   (* full structural equality via the persist repr *)
@@ -257,13 +256,19 @@ let test_snapshot_roundtrip () =
     queries;
   let stats = Snapshot.verify path in
   check int "verify node count" (Document.node_count doc) stats.Snapshot.v_node_count;
-  check string "verify fingerprint" (Persist.fingerprint doc) stats.Snapshot.v_fingerprint;
+  check string "verify fingerprint" (Snapshot.fingerprint doc) stats.Snapshot.v_fingerprint;
   Sys.remove path
 
 let test_snapshot_sniffable () =
   let db = Lazy.force retail_db in
-  let data = Snapshot.encode (Pipeline.document db) (Pipeline.index db) in
-  check bool "sniffs as XTRSNAP2" true (Persist.sniff_magic data = Some Snapshot.magic)
+  let path = tmp_file "extract_test_snapshot_sniff.snap" in
+  Snapshot.save path (Pipeline.document db) (Pipeline.index db);
+  check bool "sniffs as an image" true (Snapshot.is_image path);
+  let oc = open_out_bin path in
+  output_string oc "<retailers/>";
+  close_out oc;
+  check bool "XML is not an image" false (Snapshot.is_image path);
+  Sys.remove path
 
 let test_snapshot_detects_corruption () =
   let db = Lazy.force retail_db in
@@ -297,7 +302,7 @@ let test_snapshot_load_checks_index () =
   (* sections follow the header page in file order, each padded to a page *)
   let align n = (n + 4095) / 4096 * 4096 in
   let rec locate off = function
-    | [ ("index", len) ] -> off, len
+    | ("index", len) :: _ -> off, len
     | (_, len) :: rest -> locate (off + align len) rest
     | [] -> Alcotest.fail "no index section"
   in
@@ -345,7 +350,7 @@ let test_snapshot_rejects_mismatched_truncation () =
   Sys.remove path
 
 (* ------------------------------------------------------------------ *)
-(* Persist empty-file regression (the PR's satellite bugfix) *)
+(* Empty-file regression: every image reader names the path and magic *)
 
 let test_persist_empty_file_diagnostic () =
   let path = tmp_file "extract_test_empty.xtr" in
@@ -358,12 +363,9 @@ let test_persist_empty_file_diagnostic () =
         | _ -> false
         | exception Codec.Truncated msg -> contains msg path && contains msg magic))
     [
-      "load", Persist.magic, (fun () -> ignore (Persist.load path));
-      "load_bundle", Persist.bundle_magic, (fun () -> ignore (Persist.load_bundle path));
-      ( "load_index",
-        Persist.index_magic,
-        fun () ->
-          ignore (Persist.load_index path ~doc:(Pipeline.document (Lazy.force retail_db))) );
+      "load", Snapshot.magic, (fun () -> ignore (Snapshot.load path));
+      "load_checked", Snapshot.magic, (fun () -> ignore (Snapshot.load_checked path));
+      "verify", Snapshot.magic, (fun () -> ignore (Snapshot.verify path));
     ];
   Sys.remove path
 

@@ -476,10 +476,18 @@ let prop_strict_prefix_no_better =
 (* ------------------------------------------------------------------ *)
 (* Persistence *)
 
+(* every property reuses one scratch image path *)
+let image_path = lazy (Filename.temp_file "extract_prop" ".snap")
+
+let through_image ?generation d idx =
+  let path = Lazy.force image_path in
+  Extract_store.Snapshot.save ?generation path d idx;
+  path
+
 let prop_persist_roundtrip =
   Test.make ~name:"persist decode . encode = id" ~count:200 arb_doc (fun t ->
       let d = doc_of t in
-      let d2 = Extract_store.Persist.decode (Extract_store.Persist.encode d) in
+      let d2, _ = Extract_store.Snapshot.load (through_image d (Inverted_index.build d)) in
       Document.node_count d = Document.node_count d2
       && Document.to_xml d 0 = Document.to_xml d2 0)
 
@@ -487,13 +495,77 @@ let prop_bundle_roundtrip =
   Test.make ~name:"bundle decode . encode = id" ~count:60 arb_doc (fun t ->
       let d = doc_of t in
       let idx = Inverted_index.build d in
-      let d2, idx2 =
-        Extract_store.Persist.decode_bundle (Extract_store.Persist.encode_bundle d idx)
-      in
+      let d2, idx2 = Extract_store.Snapshot.load (through_image d idx) in
       Document.to_xml d 0 = Document.to_xml d2 0
       && List.for_all
            (fun tok -> Inverted_index.lookup idx tok = Inverted_index.lookup idx2 tok)
            (Inverted_index.vocabulary idx))
+
+(* The decoders behind the digests: damage the meta, index or members
+   section of a live generation, re-seal every digest so the damage gets
+   past MD5, and load. Mutations flip a byte, truncate, or splice in a
+   count of 2^50 or more. The load must succeed or raise Corrupt or
+   Truncated — never another exception, never an allocation sized by
+   the damaged count. *)
+let fuzz_image =
+  lazy
+    (let d =
+       Document.load_string
+         "<!DOCTYPE corpus [<!ELEMENT corpus (a, b)>]><corpus><a>storm rivers</a><b>calm           storm</b></corpus>"
+     in
+     let idx = Inverted_index.build d in
+     Extract_store.Snapshot.encode
+       ~generation:{ Extract_store.Snapshot.number = 3; members = [ "a.xml", 1; "b.xml", 3 ] }
+       d idx)
+
+type damage = Flip of int * int | Cut of int | Count of int * int
+
+let arb_damage =
+  let open Gen in
+  let gen =
+    pair (oneofl [ "meta"; "index"; "members" ])
+      (oneof
+         [
+           map2 (fun p x -> Flip (p, x)) nat (int_range 1 255);
+           map (fun p -> Cut p) nat;
+           map2 (fun p k -> Count (p, k)) nat (int_range 50 61);
+         ])
+  in
+  make
+    ~print:(fun (section, d) ->
+      match d with
+      | Flip (p, x) -> Printf.sprintf "%s: flip %d by %d" section p x
+      | Cut p -> Printf.sprintf "%s: cut at %d" section p
+      | Count (p, k) -> Printf.sprintf "%s: count 2^%d at %d" section k p)
+    gen
+
+let damage body = function
+  | _ when body = "" -> body
+  | Flip (p, x) ->
+    let b = Bytes.of_string body in
+    let p = p mod Bytes.length b in
+    Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor x));
+    Bytes.to_string b
+  | Cut p -> String.sub body 0 (p mod String.length body)
+  | Count (p, k) ->
+    let p = p mod String.length body in
+    let w = Extract_store.Codec.writer () in
+    Extract_store.Codec.write_varint w (1 lsl k);
+    String.sub body 0 p ^ Extract_store.Codec.contents w
+    ^ String.sub body p (String.length body - p)
+
+let prop_damaged_sections_fail_typed =
+  Test.make ~name:"damaged image sections raise only Corrupt/Truncated" ~count:300
+    arb_damage (fun (section, d) ->
+      let image =
+        Extract_store.Snapshot.Internal.reseal (Lazy.force fuzz_image) (fun name body ->
+            if name = section then damage body d else body)
+      in
+      let path = Lazy.force image_path in
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc image);
+      match Extract_store.Snapshot.load_checked path with
+      | _ -> true
+      | exception (Extract_store.Codec.Corrupt _ | Extract_store.Codec.Truncated _) -> true)
 
 let prop_codec_int_roundtrip =
   Test.make ~name:"codec int roundtrip" ~count:500 (int_range (-1000000) 1000000)
@@ -608,7 +680,9 @@ let suites =
           prop_sax_element_count;
         ] );
     ( "properties.persist",
-      to_alcotest [ prop_persist_roundtrip; prop_bundle_roundtrip; prop_codec_int_roundtrip ] );
+      to_alcotest
+        [ prop_persist_roundtrip; prop_bundle_roundtrip; prop_damaged_sections_fail_typed;
+          prop_codec_int_roundtrip ] );
     ( "properties.path_query",
       to_alcotest [ prop_path_descendant_equals_scan; prop_path_child_equals_children ] );
     ( "properties.stemmer", to_alcotest [ prop_stemmer_total_and_shrinking ] );

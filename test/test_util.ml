@@ -382,18 +382,18 @@ let with_faults spec f =
 let test_faults_unarmed () =
   Faults.clear ();
   check bool "inactive" false (Faults.active ());
-  check bool "never fails" false (Faults.should_fail "persist.read");
-  Faults.hit "persist.read";
-  check int "no hits recorded unarmed" 0 (Faults.hits "persist.read")
+  check bool "never fails" false (Faults.should_fail "snapshot.map");
+  Faults.hit "snapshot.map";
+  check int "no hits recorded unarmed" 0 (Faults.hits "snapshot.map")
 
 let test_faults_fail_spec () =
-  with_faults "persist.read:fail" (fun () ->
+  with_faults "snapshot.map:fail" (fun () ->
       check bool "active" true (Faults.active ());
-      check bool "fires" true (Faults.should_fail "persist.read");
-      check bool "fires again" true (Faults.should_fail "persist.read");
-      check bool "other points untouched" false (Faults.should_fail "persist.write");
-      check int "hits" 2 (Faults.hits "persist.read");
-      check int "fired" 2 (Faults.fired "persist.read"))
+      check bool "fires" true (Faults.should_fail "snapshot.map");
+      check bool "fires again" true (Faults.should_fail "snapshot.map");
+      check bool "other points untouched" false (Faults.should_fail "snapshot.write");
+      check int "hits" 2 (Faults.hits "snapshot.map");
+      check int "fired" 2 (Faults.fired "snapshot.map"))
 
 let test_faults_once_spec () =
   with_faults "p:once" (fun () ->
